@@ -30,10 +30,11 @@
 //!    workload: requests/sec, plan-cache hit rate, coalesced batch
 //!    statistics, and p50/p99/p999 request latency.
 //! 7. **Pipeline matrix** — the end-to-end protected telemetry pipeline
-//!    ([`ftfft_bench::time_pipeline`]): sustained frames/sec with the
+//!    ([`ftfft_bench::PipelineRun`]): sustained frames/sec with the
 //!    cold-buffer CRC guard off, on, and on under a seeded fault
 //!    campaign, at sizes capped to 2¹⁴ (the pipeline is a frame path,
-//!    not a big-transform path).
+//!    not a big-transform path). The CRC on/off pair is a paired
+//!    interleaved A/B ([`ftfft_bench::paired_ab`]).
 //! 8. **Observability A/B** — the same pipeline and service workloads
 //!    timed with `ftfft-obs` recording enabled vs disabled through the
 //!    runtime kill switch (`ftfft::obs::set_enabled`), both sides in one
@@ -81,12 +82,11 @@
 //!   plan-cache hit rate must meet it — any mode (the rate is a count
 //!   ratio, not a timing, so smoke runs gate it too);
 //! * if the baseline carries `overhead_pipeline_crc`, every pipeline
-//!   row's CRC-on/CRC-off throughput ratio must stay within
-//!   `overhead_pipeline_crc · (1 + tolerance)` — any mode, but only in
-//!   **optimized** builds (both sides of the ratio time in one process,
-//!   so runner *speed* cancels, but the debug profile inflates the
-//!   byte-level CRC ~5× relative to the f64 transform and the ratio
-//!   stops meaning anything);
+//!   row's CRC-on/CRC-off time ratio (median of the paired per-round
+//!   ratios) must stay within `overhead_pipeline_crc · (1 + tolerance)`
+//!   — any mode, but only in **optimized** builds (the debug profile
+//!   inflates the byte-level CRC relative to the f64 transform and the
+//!   ratio stops meaning anything);
 //! * if the baseline carries `overhead_obs`, every observability A/B
 //!   row's enabled/disabled throughput ratio must stay within it — any
 //!   mode, **optimized** builds only, and deliberately *without* the
@@ -117,8 +117,9 @@ use ftfft::checksum::{combined_sum1_ref, gather_sum1, input_checksum_vector};
 use ftfft::fft::strided::gather;
 use ftfft::prelude::*;
 use ftfft_bench::{
-    gflops, median_secs, run_service_load, time_pipeline, time_pooled_batch, time_scheme_spec,
-    time_streaming, Args, BaselineSpec, ServiceLoad, ServiceLoadReport,
+    gflops, median_secs, paired_ab, run_service_load, time_pipeline, time_pooled_batch,
+    time_scheme_spec, time_streaming, Args, BaselineSpec, PipelineRun, ServiceLoad,
+    ServiceLoadReport,
 };
 
 /// One timed cell of the kernel matrix.
@@ -242,8 +243,11 @@ impl ParCase {
 struct PipelineCase {
     log2n: u32,
     frames: usize,
+    /// Per-side minima across the paired CRC A/B rounds.
     nocrc_secs: f64,
     crc_secs: f64,
+    /// Median of the per-round CRC-on/CRC-off ratios (the gated number).
+    crc_ratio: f64,
     campaign_secs: f64,
 }
 
@@ -258,7 +262,7 @@ impl PipelineCase {
 
     /// Cost of the cold-buffer CRC guard (the gated ratio).
     fn crc_overhead(&self) -> f64 {
-        self.crc_secs / self.nocrc_secs
+        self.crc_ratio
     }
 
     /// Cost of guard + an active fault campaign's recovery ladder.
@@ -287,42 +291,21 @@ struct ObsCase {
 /// the A/B needs a longer run to rise above timer noise).
 const OBS_FRAMES: usize = 512;
 
-/// A/B rounds per observability workload. Each round times the workload
-/// once per switch position back to back (order alternating round to
-/// round), yielding one on/off ratio per round; the gated overhead is
-/// the **median of the per-round ratios**. The pairing matters: on a
-/// loaded runner a single on-vs-off median pair swings ±30% (far above
-/// the 5% gate), but slow drift hits both halves of a back-to-back pair
-/// equally, so each round's ratio is unbiased and the median discards
-/// the rounds a scheduler hiccup did hit.
+/// A/B rounds per observability workload and per pipeline CRC row. Each
+/// round times both switch positions back to back (order alternating
+/// round to round), yielding one on/off ratio per round; the gated
+/// overhead is the **median of the per-round ratios**
+/// ([`ftfft_bench::paired_ab`]).
 const OBS_AB_ROUNDS: usize = 11;
 
 /// Runs one observability A/B over `rounds` paired timings of `work`,
-/// returning `(on_min, off_min, median per-round on/off ratio)`.
+/// flipping the runtime kill switch between the sides; returns
+/// `(on_min, off_min, median per-round on/off ratio)`.
 fn obs_ab(rounds: usize, mut work: impl FnMut() -> f64) -> (f64, f64, f64) {
-    // One untimed warm-up per side (first-touch plan/registry costs).
-    ftfft::obs::set_enabled(true);
-    work();
-    ftfft::obs::set_enabled(false);
-    work();
-    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        // Alternate which side goes first so a fixed warm-cache edge for
-        // whichever runs second cancels across rounds.
-        let order = if round % 2 == 0 { [true, false] } else { [false, true] };
-        let mut pair = [0.0f64; 2];
-        for (i, &enable) in order.iter().enumerate() {
-            ftfft::obs::set_enabled(enable);
-            pair[i] = work();
-        }
-        let (on_secs, off_secs) = if order[0] { (pair[0], pair[1]) } else { (pair[1], pair[0]) };
-        on = on.min(on_secs);
-        off = off.min(off_secs);
-        ratios.push(on_secs / off_secs);
-    }
-    ratios.sort_by(f64::total_cmp);
-    (on, off, ratios[ratios.len() / 2])
+    paired_ab(rounds, |enable| {
+        ftfft::obs::set_enabled(enable);
+        work()
+    })
 }
 
 /// Times the observability A/B rows. Saves and restores the process-wide
@@ -335,8 +318,8 @@ fn time_obs_cases(runs: usize) -> Vec<ObsCase> {
     // Pipeline side: CRC guard on, no fault campaign (the hot path a
     // healthy deployment runs), at a frame-sized transform.
     let pipe_log2n = 10;
-    let (pipe_on, pipe_off, pipe_ovh) =
-        obs_ab(rounds, || time_pipeline(1 << pipe_log2n, OBS_FRAMES, true, false, 1));
+    let mut pipe = PipelineRun::new(1 << pipe_log2n, OBS_FRAMES, true, false);
+    let (pipe_on, pipe_off, pipe_ovh) = obs_ab(rounds, || pipe.run());
     cases.push(ObsCase {
         name: "pipeline",
         log2n: pipe_log2n,
@@ -765,15 +748,19 @@ fn time_parallel_dit(log2n: u32, threads: usize, single_cpu: bool, runs: usize) 
     ParCase { log2n, threads, strategy, serial_secs, parallel_secs }
 }
 
-/// Times one pipeline row. All three columns share one process (and the
-/// non-campaign pair shares one built pipeline pair), so the gated ratio
-/// is insensitive to runner speed.
+/// Times one pipeline row. The CRC-on/CRC-off pair is one built pipeline
+/// per side, timed as a paired interleaved A/B ([`paired_ab`]) so the
+/// gated ratio is the median of per-round ratios, insensitive to runner
+/// speed and drift. The campaign column is a plain median (reported, not
+/// gated).
 fn time_pipeline_case(log2n: u32, runs: usize) -> PipelineCase {
     let n = 1usize << log2n;
-    let nocrc_secs = time_pipeline(n, PIPE_FRAMES, false, false, runs);
-    let crc_secs = time_pipeline(n, PIPE_FRAMES, true, false, runs);
+    let mut on = PipelineRun::new(n, PIPE_FRAMES, true, false);
+    let mut off = PipelineRun::new(n, PIPE_FRAMES, false, false);
+    let (crc_secs, nocrc_secs, crc_ratio) =
+        paired_ab(OBS_AB_ROUNDS.max(runs), |crc| if crc { on.run() } else { off.run() });
     let campaign_secs = time_pipeline(n, PIPE_FRAMES, true, true, runs);
-    PipelineCase { log2n, frames: PIPE_FRAMES, nocrc_secs, crc_secs, campaign_secs }
+    PipelineCase { log2n, frames: PIPE_FRAMES, nocrc_secs, crc_secs, crc_ratio, campaign_secs }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -910,7 +897,7 @@ fn print_tables(
     );
     println!(
         "\nprotected pipeline ({PIPE_FRAMES} frames, Opt-Online(m) STFT stage), frames/sec, \
-         CRC guard off vs on vs on+campaign:"
+         CRC guard off vs on vs on+campaign (crc ovh: median of {OBS_AB_ROUNDS}+ paired rounds):"
     );
     println!(
         "{:>7}{:>13}{:>13}{:>13}{:>10}{:>11}",
@@ -1126,11 +1113,11 @@ fn check_gate(
         }
     }
     // Pipeline CRC gate: the cold-buffer guard must stay cheap relative
-    // to the transform work it protects. A ratio, so it applies in every
-    // mode; blowing the bound means the guard started re-hashing hot-path
-    // data (or the ring stopped amortizing) rather than runner noise.
-    // Optimized builds only: debug slows the byte-level CRC far more than
-    // the f64 transform (measured ~5× ratio inflation), so an unoptimized
+    // to the transform work it protects. A paired same-process ratio, so
+    // it applies in every mode; blowing the bound means the guard started
+    // re-hashing hot-path data (or the ring stopped amortizing) rather
+    // than runner noise. Optimized builds only: debug slows the
+    // byte-level CRC far more than the f64 transform, so an unoptimized
     // run would fail on profile, not regression.
     let pipe_gate = if cfg!(debug_assertions) { None } else { spec.overhead_pipeline_crc };
     if let Some(pipe_baseline) = pipe_gate {

@@ -251,41 +251,111 @@ pub fn run_service_load(load: &ServiceLoad) -> ServiceLoadReport {
     }
 }
 
-/// Times the end-to-end protected telemetry pipeline: `frames` frames of
-/// `n` samples, CCSDS-style encoded, through sync → protected STFT stage
-/// (Opt-Online(m)) → CRC-guarded cold ring → sink (median of `runs`).
-/// `crc` toggles the cold-buffer guard (the overhead the perf gate
-/// bounds); `campaign` additionally runs a seeded compute-fault +
-/// cold-strike campaign per timed run, pricing the recovery ladder
-/// itself. The pipeline is built once and reused; injectors are recreated
-/// per run so every run pays the same fault load.
-pub fn time_pipeline(n: usize, frames: usize, crc: bool, campaign: bool, runs: usize) -> f64 {
-    let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build();
-    let signal: Vec<f64> = uniform_signal(n * frames, 42).iter().map(|z| z.re * 0.5).collect();
-    let stream = encode_stream(&signal, n);
-    let mut p =
-        PipelineBuilder::new(&spec).queue_capacity(frames).ring_capacity(frames).crc(crc).build();
-    let mut sink = Vec::new();
-    let mut run_seed = 0u64;
-    median_secs(runs, || {
-        sink.clear();
-        if campaign {
-            run_seed += 1;
+/// The end-to-end protected telemetry pipeline, built once: `frames`
+/// frames of `n` samples, CCSDS-style encoded, through sync → protected
+/// STFT stage (Opt-Online(m)) → CRC-guarded cold ring → sink. `crc`
+/// toggles the cold-buffer guard (the overhead the perf gate bounds);
+/// `campaign` additionally runs a seeded compute-fault + cold-strike
+/// campaign per run, pricing the recovery ladder itself. Injectors are
+/// recreated per run so every run pays the same fault load.
+pub struct PipelineRun {
+    pipeline: ProtectedPipeline,
+    stream: Vec<u8>,
+    frames: usize,
+    campaign: bool,
+    run_seed: u64,
+    sink: Vec<DeliveredFrame>,
+}
+
+impl PipelineRun {
+    /// Encodes the stream and builds the pipeline (not timed).
+    pub fn new(n: usize, frames: usize, crc: bool, campaign: bool) -> Self {
+        let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build();
+        let signal: Vec<f64> =
+            uniform_signal(n * frames, 42).iter().map(|z| z.re * 0.5).collect();
+        PipelineRun {
+            pipeline: PipelineBuilder::new(&spec)
+                .queue_capacity(frames)
+                .ring_capacity(frames)
+                .crc(crc)
+                .build(),
+            stream: encode_stream(&signal, n),
+            frames,
+            campaign,
+            run_seed: 0,
+            sink: Vec::with_capacity(frames),
+        }
+    }
+
+    /// Pushes the whole stream through once; returns the wall seconds.
+    ///
+    /// # Panics
+    /// Panics if any frame is not delivered.
+    pub fn run(&mut self) -> f64 {
+        let t0 = Instant::now();
+        self.sink.clear();
+        if self.campaign {
+            self.run_seed += 1;
             let comp = RandomInjector::new(
-                42 ^ run_seed,
+                42 ^ self.run_seed,
                 0.05,
                 RandomKind::BitFlipInRange { lo: 52, hi: 62 },
                 8,
             )
             .with_site_filter(|site| matches!(site, Site::SubFftCompute { .. }));
-            let mem = RandomByteInjector::new(99 ^ run_seed, 0.25, ByteFaultKind::BitFlip, 8)
+            let mem = RandomByteInjector::new(99 ^ self.run_seed, 0.25, ByteFaultKind::BitFlip, 8)
                 .with_region_filter(|r| matches!(r, ByteRegion::ColdSlot { .. }));
-            p.process(&stream, &comp, &mem, &mut sink);
+            self.pipeline.process(&self.stream, &comp, &mem, &mut self.sink);
         } else {
-            p.process(&stream, &NoFaults, &NoByteFaults, &mut sink);
+            self.pipeline.process(&self.stream, &NoFaults, &NoByteFaults, &mut self.sink);
         }
-        assert_eq!(sink.len(), frames, "pipeline must deliver every frame");
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(self.sink.len(), self.frames, "pipeline must deliver every frame");
+        secs
+    }
+}
+
+/// Median seconds of `runs` passes through one [`PipelineRun`] (see
+/// [`median_secs`]).
+pub fn time_pipeline(n: usize, frames: usize, crc: bool, campaign: bool, runs: usize) -> f64 {
+    let mut run = PipelineRun::new(n, frames, crc, campaign);
+    median_secs(runs, || {
+        run.run();
     })
+}
+
+/// Paired, interleaved A/B timing: each of `rounds` rounds times side A
+/// (`side(true)`) and side B (`side(false)`) back to back, alternating
+/// which goes first, and yields one A/B ratio per round. Returns
+/// `(a_min, b_min, median per-round A/B ratio)`; the median ratio is the
+/// number to gate on.
+///
+/// The pairing is what makes the ratio trustworthy on a loaded box: a
+/// single A-median vs B-median pair swings by tens of percent, but slow
+/// drift hits both halves of a back-to-back pair equally, so each
+/// round's ratio is unbiased, the order alternation cancels a fixed
+/// warm-cache edge for whichever side runs second, and the median
+/// discards the rounds a scheduler hiccup did hit. One untimed warm-up
+/// per side runs first.
+pub fn paired_ab(rounds: usize, mut side: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    side(true);
+    side(false);
+    let (mut a_min, mut b_min) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(rounds.max(1));
+    for round in 0..rounds.max(1) {
+        let (a, b) = if round % 2 == 0 {
+            let a = side(true);
+            (a, side(false))
+        } else {
+            let b = side(false);
+            (side(true), b)
+        };
+        a_min = a_min.min(a);
+        b_min = b_min.min(b);
+        ratios.push(a / b);
+    }
+    ratios.sort_by(f64::total_cmp);
+    (a_min, b_min, ratios[ratios.len() / 2])
 }
 
 /// Times one sequential scheme with a scripted fault set built per run.
@@ -901,6 +971,28 @@ mod tests {
     fn pipeline_timer_smoke() {
         let t = time_pipeline(1 << 6, 4, true, true, 1);
         assert!(t > 0.0);
+    }
+
+    #[test]
+    fn paired_ab_alternates_order_and_reports_the_median_ratio() {
+        // Side A always costs 3 units and side B 2, except one outlier
+        // round: the median ratio ignores it, the minima track each side.
+        let mut calls = Vec::new();
+        let (a, b, ratio) = paired_ab(5, |is_a| {
+            calls.push(is_a);
+            let round = calls.len();
+            match (is_a, round) {
+                (true, 7) => 30.0,
+                (true, _) => 3.0,
+                (false, _) => 2.0,
+            }
+        });
+        assert_eq!((a, b, ratio), (3.0, 2.0, 1.5));
+        // Warm-up A, B; then rounds alternate A-first / B-first.
+        assert_eq!(
+            calls,
+            [true, false, true, false, false, true, true, false, false, true, true, false]
+        );
     }
 
     #[test]

@@ -115,13 +115,19 @@ pub fn batch_combine(acc1: &mut [Complex64], acc2: &mut [Complex64], members: &[
 
 /// Largest residual magnitude `max_p |c[p] − acc[p]|` and its bin — the
 /// detection scan of one side.
+///
+/// Fails closed on NaN: a NaN residual (a NaN member output or checksum
+/// bin) is returned as the maximum, at the first NaN bin, so the caller's
+/// `max <= eta` test reads it as a detection rather than a clean batch.
 pub fn batch_residual_max(c: &[Complex64], acc: &[Complex64]) -> (f64, usize) {
     debug_assert_eq!(c.len(), acc.len());
     let mut max = 0.0f64;
     let mut at = 0usize;
     for (p, (a, b)) in c.iter().zip(acc.iter()).enumerate() {
         let d = (*a - *b).norm();
-        if d > max {
+        // A NaN takes the max; once the max holds NaN nothing replaces
+        // it (`d > NaN` is false). A clean bin costs two compares.
+        if d > max || (d.is_nan() && !max.is_nan()) {
             max = d;
             at = p;
         }
@@ -298,6 +304,27 @@ mod tests {
         let (max, at) = batch_residual_max(&a, &b);
         assert_eq!(at, 17);
         assert!((max - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn residual_max_fails_closed_on_nan() {
+        let n = 64;
+        let a = uniform_signal(n, 2);
+        let mut b = a.clone();
+        b[9] = c64(f64::NAN, 0.0);
+        b[30] += c64(1e3, 0.0); // a larger finite residual after the NaN
+        b[41] = c64(0.0, f64::NAN);
+        let (max, at) = batch_residual_max(&a, &b);
+        assert!(max.is_nan());
+        assert_eq!(at, 9, "first NaN bin");
+        let clean = max <= ETA;
+        assert!(!clean, "a NaN residual must not read as clean");
+        // A finite maximum before any NaN is still overridden.
+        let mut b = a.clone();
+        b[3] += c64(1e3, 0.0);
+        b[50] = c64(f64::NAN, f64::NAN);
+        assert_eq!(batch_residual_max(&a, &b).1, 50);
+        assert!(batch_residual_max(&a, &b).0.is_nan());
     }
 
     #[test]

@@ -34,13 +34,18 @@ pub fn unpack_spectrum(z: &[Complex64], w: &[Complex64], spec: &mut [Complex64])
     let h = z.len();
     debug_assert_eq!(spec.len(), h + 1);
     debug_assert_eq!(w.len(), h + 1);
-    for (j, slot) in spec.iter_mut().enumerate() {
-        let zj = if j == h { z[0] } else { z[j] };
-        let zc = z[(h - j) % h].conj();
+    let split = |zj: Complex64, zc: Complex64, wj: Complex64| {
         let even = (zj + zc).scale(0.5);
         let odd = (zj - zc).scale(0.5) * c64(0.0, -1.0);
-        *slot = even + odd * w[j];
+        even + odd * wj
+    };
+    // Bins 0 and h both pair z[0] with itself (index h wraps to 0).
+    let z0c = z[0].conj();
+    spec[0] = split(z[0], z0c, w[0]);
+    for j in 1..h {
+        spec[j] = split(z[j], z[h - j].conj(), w[j]);
     }
+    spec[h] = split(z[0], z0c, w[h]);
 }
 
 /// Inverse of [`unpack_spectrum`]: rebuilds the half-size complex spectrum
@@ -266,6 +271,35 @@ mod tests {
         let mut s = vec![Complex64::ZERO; plan.scratch_len()];
         plan.forward(&x, &mut spec, &mut s);
         assert_eq!(spec, rfft(&x));
+    }
+
+    #[test]
+    fn unpack_spectrum_matches_the_modular_index_formula_bitwise() {
+        // The explicit j = 0 / j = h edges against the original per-bin
+        // `z[(h - j) % h]` wrap.
+        fn modular(z: &[Complex64], w: &[Complex64], spec: &mut [Complex64]) {
+            let h = z.len();
+            for (j, slot) in spec.iter_mut().enumerate() {
+                let zj = if j == h { z[0] } else { z[j] };
+                let zc = z[(h - j) % h].conj();
+                let even = (zj + zc).scale(0.5);
+                let odd = (zj - zc).scale(0.5) * c64(0.0, -1.0);
+                *slot = even + odd * w[j];
+            }
+        }
+        for n in (2..=1 << 12).step_by(2) {
+            let h = n / 2;
+            let z: Vec<Complex64> =
+                (0..h).map(|t| c64((t as f64 * 0.73).sin(), (t as f64 * 1.9).cos() - 0.2)).collect();
+            let w = split_twiddles(n, Direction::Forward);
+            let (mut got, mut want) = (vec![Complex64::ZERO; h + 1], vec![Complex64::ZERO; h + 1]);
+            unpack_spectrum(&z, &w, &mut got);
+            modular(&z, &w, &mut want);
+            let bits = |v: &[Complex64]| {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&got), bits(&want), "n={n}");
+        }
     }
 
     #[test]

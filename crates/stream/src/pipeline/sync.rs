@@ -19,23 +19,79 @@ pub const ASM: [u8; 4] = [0x1A, 0xCF, 0xFC, 0x1D];
 /// clamped to `i16`.
 pub const SAMPLE_SCALE: f64 = 4096.0;
 
-/// Applies the frame-synchronous pseudo-randomizer (self-inverse).
-///
-/// Keystream: an 8-bit Fibonacci LFSR seeded all-ones per frame, taps at
-/// bits 7, 6, 4, 2 — XORed over the payload so long runs of constant
-/// samples still toggle the line. Applying it twice restores the input
-/// bitwise; the per-frame reset keeps frames independently decodable.
-pub fn whiten(payload: &mut [u8]) {
+/// Byte period of the randomizer keystream (the LFSR's maximal period).
+const KEY_PERIOD: usize = 255;
+
+/// One period of the randomizer keystream, built at compile time.
+const KEYSTREAM: [u8; KEY_PERIOD] = keystream();
+
+/// The same keystream paired up per `i16` sample: entry `j` is the
+/// little-endian key word for payload bytes `2j, 2j+1`. The pairing
+/// repeats every 255 samples (510 bytes), since 255 is odd.
+const SAMPLE_KEYS: [u16; KEY_PERIOD] = sample_keys();
+
+/// Runs the 8-bit Fibonacci LFSR (seeded all-ones, taps at bits 7, 6, 4,
+/// 2; output bit 7, MSB first) for one byte period. The LFSR is maximal,
+/// so its bit sequence repeats every 255 steps and — 8 and 255 being
+/// coprime — its byte sequence every 255 bytes.
+const fn keystream() -> [u8; KEY_PERIOD] {
+    let mut ks = [0u8; KEY_PERIOD];
     let mut state: u8 = 0xFF;
-    for byte in payload {
+    let mut i = 0;
+    while i < KEY_PERIOD {
         let mut key = 0u8;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             let out = state >> 7;
             let fb = ((state >> 7) ^ (state >> 6) ^ (state >> 4) ^ (state >> 2)) & 1;
             state = (state << 1) | fb;
             key = (key << 1) | out;
+            bit += 1;
         }
-        *byte ^= key;
+        ks[i] = key;
+        i += 1;
+    }
+    ks
+}
+
+const fn sample_keys() -> [u16; KEY_PERIOD] {
+    let mut keys = [0u16; KEY_PERIOD];
+    let mut j = 0;
+    while j < KEY_PERIOD {
+        let lo = KEYSTREAM[(2 * j) % KEY_PERIOD];
+        let hi = KEYSTREAM[(2 * j + 1) % KEY_PERIOD];
+        keys[j] = u16::from_le_bytes([lo, hi]);
+        j += 1;
+    }
+    keys
+}
+
+/// Applies the frame-synchronous pseudo-randomizer (self-inverse).
+///
+/// Keystream: an 8-bit Fibonacci LFSR seeded all-ones per frame, taps at
+/// bits 7, 6, 4, 2 — XORed over the payload so long runs of constant
+/// samples still toggle the line. The LFSR is maximal, so its byte
+/// stream has period exactly 255; one period is tabulated at compile
+/// time and the payload is XORed against it 255 bytes at a time, with
+/// no per-bit stepping. Applying it twice restores the input bitwise;
+/// the per-frame reset keeps frames independently decodable.
+pub fn whiten(payload: &mut [u8]) {
+    for block in payload.chunks_mut(KEY_PERIOD) {
+        for (b, k) in block.iter_mut().zip(&KEYSTREAM) {
+            *b ^= k;
+        }
+    }
+}
+
+/// Dewhitens and dequantizes one whitened payload in a single pass:
+/// sample `j` is `(le_i16(bytes 2j, 2j+1) ⊕ key_j) / SAMPLE_SCALE`.
+fn decode_payload(payload: &[u8], out: &mut [f64]) {
+    debug_assert_eq!(payload.len(), 2 * out.len());
+    for (bytes, samples) in payload.chunks(2 * KEY_PERIOD).zip(out.chunks_mut(KEY_PERIOD)) {
+        for ((pair, s), k) in bytes.chunks_exact(2).zip(samples).zip(&SAMPLE_KEYS) {
+            let q = u16::from_le_bytes([pair[0], pair[1]]) ^ k;
+            *s = q as i16 as f64 / SAMPLE_SCALE;
+        }
     }
 }
 
@@ -66,7 +122,10 @@ pub fn encode_stream(signal: &[f64], frame_len: usize) -> Vec<u8> {
 #[derive(Debug)]
 pub struct FrameSync {
     frame_len: usize,
+    /// Unconsumed bytes start at `buf[pos]`; the consumed prefix is
+    /// dropped once per [`push`](FrameSync::push), not once per frame.
     buf: Vec<u8>,
+    pos: usize,
     locked: bool,
     bytes_in: u64,
     bytes_skipped: u64,
@@ -81,6 +140,7 @@ impl FrameSync {
         FrameSync {
             frame_len,
             buf: Vec::new(),
+            pos: 0,
             locked: false,
             bytes_in: 0,
             bytes_skipped: 0,
@@ -113,49 +173,54 @@ impl FrameSync {
     pub fn push(&mut self, bytes: &[u8], emit: &mut dyn FnMut(Vec<f64>)) {
         self.bytes_in += bytes.len() as u64;
         self.buf.extend_from_slice(bytes);
+        self.scan(emit);
+        // One compaction per push keeps a many-frame push linear.
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+    }
+
+    /// Decodes every complete frame from `buf[pos..]`, advancing `pos`.
+    fn scan(&mut self, emit: &mut dyn FnMut(Vec<f64>)) {
         let payload = 2 * self.frame_len;
         loop {
+            let rest = &self.buf[self.pos..];
             if !self.locked {
-                match find_asm(&self.buf) {
+                match find_asm(rest) {
                     Some(i) => {
                         self.bytes_skipped += i as u64;
-                        self.buf.drain(..i);
+                        self.pos += i;
                         self.locked = true;
                     }
                     None => {
                         // Keep the last 3 bytes — a marker may straddle
                         // this chunk boundary.
-                        let keep = self.buf.len().min(ASM.len() - 1);
-                        let skip = self.buf.len() - keep;
+                        let skip = rest.len() - rest.len().min(ASM.len() - 1);
                         self.bytes_skipped += skip as u64;
-                        self.buf.drain(..skip);
+                        self.pos += skip;
                         return;
                     }
                 }
+                continue;
             }
-            if self.buf.len() < ASM.len() {
+            if rest.len() < ASM.len() {
                 return;
             }
-            if self.buf[..ASM.len()] != ASM {
+            if rest[..ASM.len()] != ASM {
                 // The expected marker is gone — corruption in the marker
                 // itself or a truncated frame. Count the loss, shed one
                 // byte, and re-hunt.
                 self.sync_losses += 1;
                 self.locked = false;
                 self.bytes_skipped += 1;
-                self.buf.drain(..1);
+                self.pos += 1;
                 continue;
             }
-            if self.buf.len() < ASM.len() + payload {
+            if rest.len() < ASM.len() + payload {
                 return;
             }
-            let mut frame_bytes = self.buf[ASM.len()..ASM.len() + payload].to_vec();
-            self.buf.drain(..ASM.len() + payload);
-            whiten(&mut frame_bytes);
-            let samples = frame_bytes
-                .chunks_exact(2)
-                .map(|b| i16::from_le_bytes([b[0], b[1]]) as f64 / SAMPLE_SCALE)
-                .collect();
+            let mut samples = vec![0.0; self.frame_len];
+            decode_payload(&rest[ASM.len()..ASM.len() + payload], &mut samples);
+            self.pos += ASM.len() + payload;
             self.frames_synced += 1;
             emit(samples);
         }
@@ -180,6 +245,60 @@ mod tests {
             sync.push(c, &mut |f| frames.push(f));
         }
         frames
+    }
+
+    /// The original bit-serial randomizer: eight dependent LFSR steps per
+    /// byte. The tabulated keystream must reproduce it exactly.
+    fn whiten_bit_serial(payload: &mut [u8]) {
+        let mut state: u8 = 0xFF;
+        for byte in payload {
+            let mut key = 0u8;
+            for _ in 0..8 {
+                let out = state >> 7;
+                let fb = ((state >> 7) ^ (state >> 6) ^ (state >> 4) ^ (state >> 2)) & 1;
+                state = (state << 1) | fb;
+                key = (key << 1) | out;
+            }
+            *byte ^= key;
+        }
+    }
+
+    #[test]
+    fn keystream_table_matches_the_bit_serial_lfsr() {
+        let data: Vec<u8> = (0..511u32).map(|i| (i.wrapping_mul(151) >> 2) as u8).collect();
+        for len in 0..=data.len() {
+            let mut want = data[..len].to_vec();
+            whiten_bit_serial(&mut want);
+            let mut got = data[..len].to_vec();
+            whiten(&mut got);
+            assert_eq!(got, want, "length {len}");
+        }
+        // The byte period is exactly 255: no shorter period divides it.
+        let mut zeros = vec![0u8; 2 * KEY_PERIOD];
+        whiten_bit_serial(&mut zeros);
+        assert_eq!(zeros[..KEY_PERIOD], zeros[KEY_PERIOD..]);
+        for p in [3, 5, 15, 17, 51, 85] {
+            assert_ne!(zeros[..p], zeros[p..2 * p], "period {p}");
+        }
+    }
+
+    #[test]
+    fn fused_decode_matches_whiten_then_dequantize() {
+        // Odd and even sample counts around the 255-sample key period.
+        for samples in [0usize, 1, 127, 128, 254, 255, 256, 510, 511, 1000] {
+            let payload: Vec<u8> =
+                (0..2 * samples as u32).map(|i| (i.wrapping_mul(89) ^ (i >> 3)) as u8).collect();
+            let mut plain = payload.clone();
+            whiten_bit_serial(&mut plain);
+            let want: Vec<f64> = plain
+                .chunks_exact(2)
+                .map(|b| i16::from_le_bytes([b[0], b[1]]) as f64 / SAMPLE_SCALE)
+                .collect();
+            let mut got = vec![f64::NAN; samples];
+            decode_payload(&payload, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{samples} samples");
+        }
     }
 
     #[test]
@@ -224,6 +343,28 @@ mod tests {
             assert_eq!((frames, sync.stats()), reference, "chunk={chunk}");
         }
         assert_eq!(reference.1.bytes_skipped, 2);
+
+        // 300 frames in a single push (the compaction must stay once per
+        // push) against one push per frame, with garbage up front and a
+        // marker-straddling tail left for the next push.
+        let frame_len = 20;
+        let frames = 300;
+        let signal = ramp(frame_len * frames);
+        let mut stream = vec![0x00, 0x1A, 0xCF];
+        stream.extend(encode_stream(&signal, frame_len));
+        stream.extend_from_slice(&ASM[..3]);
+        let mut whole = FrameSync::new(frame_len);
+        let got = collect_frames(&mut whole, &stream, usize::MAX);
+        let frame_bytes = ASM.len() + 2 * frame_len;
+        let mut per_frame = FrameSync::new(frame_len);
+        let mut want = collect_frames(&mut per_frame, &stream[..3], usize::MAX);
+        for c in stream[3..].chunks(frame_bytes) {
+            per_frame.push(c, &mut |f| want.push(f));
+        }
+        assert_eq!(got.len(), frames);
+        assert_eq!((got, whole.stats()), (want, per_frame.stats()));
+        assert_eq!(whole.stats().bytes_skipped, 3);
+        assert_eq!(whole.buf.len() - whole.pos, 3, "straddling marker bytes kept");
     }
 
     #[test]

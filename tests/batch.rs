@@ -269,6 +269,44 @@ fn colliding_same_bin_faults_are_ambiguous_and_still_repaired() {
 }
 
 #[test]
+fn nan_member_output_is_detected_and_repaired_bitwise() {
+    // A NaN member output makes the side-1 residual NaN at that bin. The
+    // detection scan must read it as a fault (not as "no residual above
+    // eta"), and the repair must hand back the fault-free bits.
+    let (n, b) = (256, 8);
+    let members = signals(n, b, 61);
+    let want = reference_outputs(n, &members);
+    let plan = batch_plan(n);
+    for (victim, value) in [(0usize, (f64::NAN, 0.0)), (5, (1.0, f64::NAN))] {
+        let scripted: Vec<ScriptedInjector> = (0..b)
+            .map(|j| {
+                let faults = if j == victim {
+                    vec![ScriptedFault::new(
+                        Site::BatchMemberOutput { index: victim },
+                        21,
+                        FaultKind::SetValue { re: value.0, im: value.1 },
+                    )]
+                } else {
+                    vec![]
+                };
+                ScriptedInjector::new(faults)
+            })
+            .collect();
+        let injectors: Vec<&dyn FaultInjector> =
+            scripted.iter().map(|s| s as &dyn FaultInjector).collect();
+        let (outputs, reports) = run_members(&plan, &members, &injectors);
+        assert!(scripted[victim].exhausted(), "the scripted NaN must fire");
+        let detected: u32 = reports.iter().map(|r| r.total_detected()).sum();
+        assert!(detected > 0, "victim {victim}: NaN went undetected: {reports:?}");
+        for j in 0..b {
+            assert_eq!(outputs[j], want[j], "victim {victim}, member {j}");
+            assert_eq!(reports[j].uncorrectable, 0, "victim {victim}, member {j}");
+        }
+        assert!(reports[victim].full_recomputed >= 1, "victim {victim} must be recomputed");
+    }
+}
+
+#[test]
 fn clean_batches_never_false_positive() {
     // 20 batches across two sizes and both signal shapes: no clean batch
     // may trip the two-sided test (threshold calibration property).
