@@ -4,14 +4,12 @@
 //! everything to `BENCH_PR.json`:
 //!
 //! 1. **Kernel matrix** — radix-2 vs radix-4 vs split-radix, each as (a)
-//!    the bare kernel in *both* data layouts (AoS interleaved vs the SoA
-//!    split-complex engine, `soa_speedup` column; the `layout` column
-//!    records what the planner's heuristic picks), (b) the unprotected
-//!    two-layer scheme ("FFTW" baseline), (c) the paper's Opt-Online(m)
-//!    protected scheme with the fused SIMD checksum path, and (d) the same
-//!    scheme with `FtConfig::fused` pinned off (the PR-2-era separate
-//!    gather-then-checksum passes) — so the fusion gain is a measured
-//!    column, not a claim.
+//!    the bare kernel in every data layout it has an engine for (AoS
+//!    interleaved, plus the SoA split-complex engine for radix-2 and
+//!    radix-4 — `soa_speedup` column, `"skipped"` for split-radix; the
+//!    `layout` column records what the planner picks), (b) the
+//!    unprotected two-layer scheme ("FFTW" baseline), and (c) the
+//!    paper's Opt-Online(m) protected scheme.
 //! 2. **CCG kernel bench** — the fused SIMD gather+checksum
 //!    ([`gather_sum1`]) against the PR-2 scalar path (strided gather, then
 //!    [`combined_sum1_ref`]) over one part-1's worth of strided traffic.
@@ -22,7 +20,7 @@
 //!    ([`ftfft_bench::time_streaming`]): plain vs Opt-Online(m), scheduled
 //!    at 1 worker vs `N` workers.
 //! 5. **Parallel-strategy matrix** — the two-halves parallel DIT
-//!    (`FftPlan::new_parallel`) against the serial radix-2 plan it is
+//!    (`Strategy::Parallel`) against the serial radix-2 plan it is
 //!    bitwise-identical to, plus what the `FTFFT_STRATEGY=auto` heuristic
 //!    would pick at this `(n, threads)`.
 //! 6. **Service workload** — the multi-tenant [`FftService`] driven by
@@ -55,45 +53,40 @@
 //! the 1-worker time as a fake 1.00x speedup — and only the
 //! correctness/serial gates apply.
 //!
-//! The gate (against the committed `crates/bench/baseline.json`):
+//! The gate (against the committed `crates/bench/baseline.json`, which
+//! must carry every key below — a missing key fails the parse rather than
+//! silently skipping its gate):
 //!
 //! * the worst Opt-Online overhead ratio must not exceed
 //!   `overhead_optonline · (1 + tolerance)` — any mode;
-//! * in full mode, if the baseline carries `max_sibling_loss`, every
-//!   kernel-matrix cell at sizes `≥ 2^16` must run its heuristic-chosen
-//!   layout no more than that fraction slower than the sibling layout —
-//!   the planner must never pick a losing cell (generous bound: the
-//!   sibling A/B shares one run's noise);
-//! * in **full** (non-smoke) mode, if the baseline carries
-//!   `min_ccg_speedup`, the fused CCG speedup at every size `≥ 2^16` must
-//!   meet it (smoke sizes are too small/noisy to gate kernels on);
-//! * in full mode, if the baseline carries `min_soa_speedup`, the *best*
-//!   kernel's SoA/AoS speedup at every size `≥ 2^16` must meet it (a
-//!   structural SoA regression — plane kernels silently scalar, packs
-//!   mis-built — drops every kernel to ~1.0×);
-//! * in full mode, if the baseline carries `min_fused_gain`, the *median*
-//!   fused-vs-unfused gain across the kernel matrix must meet it
-//!   (per-case values swing ±10% with runner load on the DRAM-bound
-//!   sizes; a mis-resolved `FusedPolicy` drags the whole median);
-//! * if the baseline carries `overhead_stream`, every streaming 1-worker
-//!   Opt-Online overhead must stay within
+//! * in full mode, every kernel-matrix cell at sizes `≥ 2^16` that has an
+//!   SoA sibling must run its planner-chosen layout no more than
+//!   `max_sibling_loss` slower than the sibling layout — the planner must
+//!   never pick a losing cell (generous bound: the sibling A/B shares one
+//!   run's noise);
+//! * in **full** (non-smoke) mode, the fused CCG speedup at every size
+//!   `≥ 2^16` must meet `min_ccg_speedup` (smoke sizes are too
+//!   small/noisy to gate kernels on);
+//! * in full mode, the *best* kernel's SoA/AoS speedup at every size
+//!   `≥ 2^16` must meet `min_soa_speedup` (a structural SoA regression —
+//!   plane kernels silently scalar, packs mis-built — drops every kernel
+//!   to ~1.0×);
+//! * every streaming 1-worker Opt-Online overhead must stay within
 //!   `overhead_stream · (1 + tolerance)`;
-//! * if the baseline carries `min_cache_hit_rate`, the service workload's
-//!   plan-cache hit rate must meet it — any mode (the rate is a count
-//!   ratio, not a timing, so smoke runs gate it too);
-//! * if the baseline carries `overhead_pipeline_crc`, every pipeline
-//!   row's CRC-on/CRC-off time ratio (median of the paired per-round
-//!   ratios) must stay within `overhead_pipeline_crc · (1 + tolerance)`
-//!   — any mode, but only in **optimized** builds (the debug profile
-//!   inflates the byte-level CRC relative to the f64 transform and the
-//!   ratio stops meaning anything);
-//! * if the baseline carries `overhead_obs`, every observability A/B
-//!   row's enabled/disabled throughput ratio must stay within it — any
-//!   mode, **optimized** builds only, and deliberately *without* the
-//!   tolerance multiplier: the bound (1.05×) already is the budget, and
-//!   both sides time in one process so runner speed cancels;
-//! * if the baseline carries `max_batch_vs_optonline`, every
-//!   batch-checksum cell at `B ≥ 8` must run the whole batch strictly
+//! * the service workload's plan-cache hit rate must meet
+//!   `min_cache_hit_rate` — any mode (the rate is a count ratio, not a
+//!   timing, so smoke runs gate it too);
+//! * every pipeline row's CRC-on/CRC-off time ratio (median of the paired
+//!   per-round ratios) must stay within
+//!   `overhead_pipeline_crc · (1 + tolerance)` — any mode, but only in
+//!   **optimized** builds (the debug profile inflates the byte-level CRC
+//!   relative to the f64 transform and the ratio stops meaning anything);
+//! * every observability A/B row's enabled/disabled throughput ratio must
+//!   stay within `overhead_obs` — any mode, **optimized** builds only,
+//!   and deliberately *without* the tolerance multiplier: the bound
+//!   (1.05×) already is the budget, and both sides time in one process so
+//!   runner speed cancels;
+//! * every batch-checksum cell at `B ≥ 8` must run the whole batch strictly
 //!   faster than `B` per-transform Opt-Online(c) executes *and* within
 //!   the baseline's `t(batch)/t(B × Opt-Online(c))` bound — any mode,
 //!   **optimized** builds only, without the tolerance multiplier (the
@@ -126,21 +119,19 @@ use ftfft_bench::{
 struct Case {
     kernel: Pow2Kernel,
     log2n: u32,
-    /// Layout the planner's heuristic picks for this (kernel, size).
+    /// Layout the planner picks for this (kernel, size).
     layout: Layout,
-    /// Bare kernel in the heuristic layout, out-of-place `FftPlan::execute`.
+    /// Bare kernel in the planner's layout, out-of-place `FftPlan::execute`.
     plain_kernel_secs: f64,
     /// Bare kernel pinned to AoS (interleaved `Complex64`).
     plain_kernel_aos_secs: f64,
-    /// Bare kernel pinned to the SoA split-complex engine.
-    plain_kernel_soa_secs: f64,
+    /// Bare kernel pinned to the SoA split-complex engine (`None` for a
+    /// kernel with no SoA engine, whose SoA pin builds the AoS plan).
+    plain_kernel_soa_secs: Option<f64>,
     /// Unprotected two-layer scheme (the "FFTW" bar of Fig 7).
     plain_scheme_secs: f64,
-    /// Opt-Online(m): computational + memory FT, all §4 optimizations,
-    /// fused SIMD checksum path.
+    /// Opt-Online(m): computational + memory FT, all §4 optimizations.
     opt_online_secs: f64,
-    /// Opt-Online(m) with `fused` pinned off (PR-2-era separate passes).
-    opt_online_unfused_secs: f64,
 }
 
 impl Case {
@@ -148,13 +139,9 @@ impl Case {
         self.opt_online_secs / self.plain_scheme_secs
     }
 
-    fn fused_gain(&self) -> f64 {
-        self.opt_online_unfused_secs / self.opt_online_secs
-    }
-
     /// Split-complex engine speedup over the interleaved kernel.
-    fn soa_speedup(&self) -> f64 {
-        self.plain_kernel_aos_secs / self.plain_kernel_soa_secs
+    fn soa_speedup(&self) -> Option<f64> {
+        self.plain_kernel_soa_secs.map(|soa| self.plain_kernel_aos_secs / soa)
     }
 }
 
@@ -610,34 +597,31 @@ fn main() -> ExitCode {
 }
 
 /// Times one (kernel, size) cell. The bare kernel is timed through the
-/// explicit-kernel plan API in both layouts (the layout A/B the SoA gate
-/// rides on); the scheme rows pin the same kernel onto every power-of-two
-/// sub-FFT via `PlanSpec::builder(..).kernel(..)` and leave the layout to
-/// the heuristic — exactly the configuration users get.
+/// spec API in each layout it has an engine for (the layout A/B the SoA
+/// gates ride on); the scheme rows pin the same kernel onto every
+/// power-of-two sub-FFT via `PlanSpec::builder(..).kernel(..)` and leave
+/// the layout to the planner — exactly the configuration users get.
 fn time_case(kernel: Pow2Kernel, log2n: u32, runs: usize) -> Case {
     let n = 1usize << log2n;
 
-    let time_layout = |layout: Layout| {
-        // Strategy pinned serial: this is a kernel/layout A/B, and at the
-        // full-mode sizes the Auto heuristic would otherwise hand 2^18+
-        // to the parallel DIT (which ignores both knobs).
-        let plan = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_kernel(kernel)
-                .with_layout(layout)
-                .with_strategy(Strategy::Serial),
-        );
+    // Strategy pinned serial: this is a kernel/layout A/B, and at the
+    // full-mode sizes the Auto heuristic would otherwise hand 2^18+ to the
+    // parallel DIT (which ignores both knobs).
+    let spec =
+        FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_strategy(Strategy::Serial);
+    let time_plan = |plan: &FftPlan| {
         let x = uniform_signal(n, 42);
         let mut dst = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
         median_secs(runs, || plan.execute(&x, &mut dst, &mut scratch))
     };
-    let plain_kernel_aos_secs = time_layout(Layout::Aos);
-    let plain_kernel_soa_secs = time_layout(Layout::Soa);
-    let layout = Layout::choose(kernel, n);
+    let layout = FftPlan::from_spec(&spec).layout();
+    let plain_kernel_aos_secs = time_plan(&FftPlan::from_spec(&spec.with_layout(Layout::Aos)));
+    let soa = FftPlan::from_spec(&spec.with_layout(Layout::Soa));
+    let plain_kernel_soa_secs = (soa.layout() == Layout::Soa).then(|| time_plan(&soa));
     let plain_kernel_secs = match layout {
         Layout::Aos => plain_kernel_aos_secs,
-        Layout::Soa => plain_kernel_soa_secs,
+        Layout::Soa => plain_kernel_soa_secs.expect("the planner picked SoA, so the engine exists"),
     };
 
     // The spec template propagates the pinned kernel into every
@@ -645,8 +629,6 @@ fn time_case(kernel: Pow2Kernel, log2n: u32, runs: usize) -> Case {
     let base = PlanSpec::builder(n).kernel(kernel);
     let plain_scheme_secs = time_scheme_spec(&base.scheme(Scheme::Plain).build(), runs);
     let opt_online_secs = time_scheme_spec(&base.scheme(Scheme::OnlineMemOpt).build(), runs);
-    let opt_online_unfused_secs =
-        time_scheme_spec(&base.scheme(Scheme::OnlineMemOpt).fused(false).build(), runs);
 
     Case {
         kernel,
@@ -657,7 +639,6 @@ fn time_case(kernel: Pow2Kernel, log2n: u32, runs: usize) -> Case {
         plain_kernel_soa_secs,
         plain_scheme_secs,
         opt_online_secs,
-        opt_online_unfused_secs,
     }
 }
 
@@ -783,7 +764,7 @@ fn print_tables(
         simd_level().name()
     );
     println!(
-        "{:<13}{:>7}{:>7}{:>12}{:>9}{:>7}{:>12}{:>14}{:>10}{:>8}",
+        "{:<13}{:>7}{:>7}{:>12}{:>9}{:>8}{:>12}{:>14}{:>10}",
         "kernel",
         "n",
         "layout",
@@ -792,22 +773,20 @@ fn print_tables(
         "soa+",
         "plain(s)",
         "opt-online(s)",
-        "overhead",
-        "fused+"
+        "overhead"
     );
     for c in cases {
         println!(
-            "{:<13}{:>7}{:>7}{:>12.6}{:>9.3}{:>6.2}x{:>12.6}{:>14.6}{:>9.2}x{:>7.2}x",
+            "{:<13}{:>7}{:>7}{:>12.6}{:>9.3}{:>8}{:>12.6}{:>14.6}{:>9.2}x",
             c.kernel.name(),
             format!("2^{}", c.log2n),
             c.layout.name(),
             c.plain_kernel_secs,
             gflops(1 << c.log2n, c.plain_kernel_secs),
-            c.soa_speedup(),
+            table_opt(c.soa_speedup(), 2),
             c.plain_scheme_secs,
             c.opt_online_secs,
-            c.overhead_ratio(),
-            c.fused_gain()
+            c.overhead_ratio()
         );
     }
     println!("\nccg kernels (fused SIMD gather+checksum vs PR-2 scalar two-pass):");
@@ -1004,78 +983,61 @@ fn check_gate(
     // L1/L2 where the two-pass penalty is noise-sized).
     let mut ccg_note = None;
     if !smoke {
-        if let Some(min_speedup) = spec.min_ccg_speedup {
-            for c in ccg.iter().filter(|c| c.log2n >= 16) {
-                if c.speedup() < min_speedup {
-                    failures.push(format!(
-                        "fused CCG speedup {:.2}x at 2^{} below required {min_speedup:.2}x",
-                        c.speedup(),
-                        c.log2n
-                    ));
-                }
+        let min_speedup = spec.min_ccg_speedup;
+        for c in ccg.iter().filter(|c| c.log2n >= 16) {
+            if c.speedup() < min_speedup {
+                failures.push(format!(
+                    "fused CCG speedup {:.2}x at 2^{} below required {min_speedup:.2}x",
+                    c.speedup(),
+                    c.log2n
+                ));
             }
-            if failures.is_empty() {
-                ccg_note = Some(format!("; ccg speedups ≥ {min_speedup:.2}x at 2^16+"));
-            }
+        }
+        if failures.is_empty() {
+            ccg_note = Some(format!("; ccg speedups ≥ {min_speedup:.2}x at 2^16+"));
         }
         // SoA engine gate: at every size ≥ 2^16 the best kernel's SoA/AoS
         // speedup must clear the bar. Gating the best (not each) kernel is
-        // deliberate: split-radix stays AoS by design, and the structural
-        // failure this guards against — plane kernels silently scalar,
-        // stage packs mis-built, COBRA reversal regressed — flattens
-        // *every* kernel's ratio to ~1.0 at once.
-        if let Some(min_soa) = spec.min_soa_speedup {
-            let mut sizes: Vec<u32> = cases.iter().map(|c| c.log2n).filter(|&l| l >= 16).collect();
-            sizes.sort_unstable();
-            sizes.dedup();
-            for l in sizes {
-                let best = cases
-                    .iter()
-                    .filter(|c| c.log2n == l)
-                    .map(|c| c.soa_speedup())
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if best < min_soa {
-                    failures.push(format!(
-                        "best SoA speedup {best:.2}x at 2^{l} below required {min_soa:.2}x"
-                    ));
-                }
-            }
-        }
-        // Sibling-cell gate: the layout the planner's heuristic picked
-        // must not lose to the other layout of the same (kernel, size)
-        // cell by more than the allowed fraction. Sizes ≥ 2^16 only and a
-        // generous bound — both siblings are timed in the same process so
-        // runner speed cancels, but individual cells still carry noise.
-        if let Some(max_loss) = spec.max_sibling_loss {
-            for c in cases.iter().filter(|c| c.log2n >= 16) {
-                let sibling = match c.layout {
-                    Layout::Aos => c.plain_kernel_soa_secs,
-                    Layout::Soa => c.plain_kernel_aos_secs,
-                };
-                if c.plain_kernel_secs > sibling * (1.0 + max_loss) {
-                    failures.push(format!(
-                        "heuristic layout {} for {}@2^{} is {:.0}% slower than its sibling \
-                         (allowed {:.0}%)",
-                        c.layout.name(),
-                        c.kernel.name(),
-                        c.log2n,
-                        (c.plain_kernel_secs / sibling - 1.0) * 100.0,
-                        max_loss * 100.0
-                    ));
-                }
-            }
-        }
-        // Fused-path gate: the per-size FusedPolicy heuristic must not
-        // systematically lose to the unfused baseline. Median across the
-        // matrix: individual DRAM-bound cells swing ±10% with runner load.
-        if let Some(min_gain) = spec.min_fused_gain {
-            let mut gains: Vec<f64> = cases.iter().map(Case::fused_gain).collect();
-            gains.sort_by(f64::total_cmp);
-            let median = gains[gains.len() / 2];
-            if median < min_gain {
+        // deliberate: the structural failure this guards against — plane
+        // kernels silently scalar, stage packs mis-built, COBRA reversal
+        // regressed — flattens *every* kernel's ratio to ~1.0 at once.
+        let min_soa = spec.min_soa_speedup;
+        let mut sizes: Vec<u32> = cases.iter().map(|c| c.log2n).filter(|&l| l >= 16).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for l in sizes {
+            let best = cases
+                .iter()
+                .filter(|c| c.log2n == l)
+                .filter_map(Case::soa_speedup)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if best < min_soa {
                 failures.push(format!(
-                    "median fused gain {median:.3}x across the kernel matrix below required \
-                     {min_gain:.2}x"
+                    "best SoA speedup {best:.2}x at 2^{l} below required {min_soa:.2}x"
+                ));
+            }
+        }
+        // Sibling-cell gate: the layout the planner picked must not lose
+        // to the other layout of the same (kernel, size) cell by more than
+        // the allowed fraction. Sizes ≥ 2^16 only and a generous bound —
+        // both siblings are timed in the same process so runner speed
+        // cancels, but individual cells still carry noise.
+        let max_loss = spec.max_sibling_loss;
+        for c in cases.iter().filter(|c| c.log2n >= 16) {
+            let Some(soa_secs) = c.plain_kernel_soa_secs else { continue };
+            let sibling = match c.layout {
+                Layout::Aos => soa_secs,
+                Layout::Soa => c.plain_kernel_aos_secs,
+            };
+            if c.plain_kernel_secs > sibling * (1.0 + max_loss) {
+                failures.push(format!(
+                    "planner layout {} for {}@2^{} is {:.0}% slower than its sibling \
+                     (allowed {:.0}%)",
+                    c.layout.name(),
+                    c.kernel.name(),
+                    c.log2n,
+                    (c.plain_kernel_secs / sibling - 1.0) * 100.0,
+                    max_loss * 100.0
                 ));
             }
         }
@@ -1083,34 +1045,30 @@ fn check_gate(
     // Streaming gate: the 1-worker Opt-Online(m) frames/sec overhead over
     // plain must stay within the baseline's `overhead_stream` bound (the
     // same tolerance; ratios, so runner speed cancels out).
-    if let Some(stream_baseline) = spec.overhead_stream {
-        let stream_limit = stream_baseline * (1.0 + tolerance);
-        for s in streams {
-            if s.overhead_t1() > stream_limit {
-                failures.push(format!(
-                    "streaming Opt-Online overhead {:.2}x at 2^{} exceeds limit {:.2}x \
-                     (baseline {:.2}x, tolerance {:.0}%)",
-                    s.overhead_t1(),
-                    s.log2n,
-                    stream_limit,
-                    stream_baseline,
-                    tolerance * 100.0
-                ));
-            }
+    let stream_limit = spec.overhead_stream * (1.0 + tolerance);
+    for s in streams {
+        if s.overhead_t1() > stream_limit {
+            failures.push(format!(
+                "streaming Opt-Online overhead {:.2}x at 2^{} exceeds limit {:.2}x \
+                 (baseline {:.2}x, tolerance {:.0}%)",
+                s.overhead_t1(),
+                s.log2n,
+                stream_limit,
+                spec.overhead_stream,
+                tolerance * 100.0
+            ));
         }
     }
     // Service cache gate: a count ratio (hits / lookups), so it applies in
     // every mode — a hit rate below the bound means the canonical-spec
     // keying broke (same-spec tenants no longer share plans).
-    if let Some(min_hit_rate) = spec.min_cache_hit_rate {
-        let hit_rate = service.report.stats.hit_rate;
-        if hit_rate < min_hit_rate {
-            failures.push(format!(
-                "service plan-cache hit rate {hit_rate:.4} below required {min_hit_rate:.2} \
-                 ({} requests, {} distinct specs)",
-                service.report.stats.requests, service.report.distinct_specs
-            ));
-        }
+    let (hit_rate, min_hit_rate) = (service.report.stats.hit_rate, spec.min_cache_hit_rate);
+    if hit_rate < min_hit_rate {
+        failures.push(format!(
+            "service plan-cache hit rate {hit_rate:.4} below required {min_hit_rate:.2} \
+             ({} requests, {} distinct specs)",
+            service.report.stats.requests, service.report.distinct_specs
+        ));
     }
     // Pipeline CRC gate: the cold-buffer guard must stay cheap relative
     // to the transform work it protects. A paired same-process ratio, so
@@ -1119,7 +1077,7 @@ fn check_gate(
     // than runner noise. Optimized builds only: debug slows the
     // byte-level CRC far more than the f64 transform, so an unoptimized
     // run would fail on profile, not regression.
-    let pipe_gate = if cfg!(debug_assertions) { None } else { spec.overhead_pipeline_crc };
+    let pipe_gate = if cfg!(debug_assertions) { None } else { Some(spec.overhead_pipeline_crc) };
     if let Some(pipe_baseline) = pipe_gate {
         let pipe_limit = pipe_baseline * (1.0 + tolerance);
         for p in pipes {
@@ -1142,7 +1100,7 @@ fn check_gate(
     // of each ratio time in one process, and the 1.05× budget *is* the
     // contract. Optimized builds only, like the pipeline gate: debug
     // inflates the branch/atomic cost relative to the transform work.
-    let obs_gate = if cfg!(debug_assertions) { None } else { spec.overhead_obs };
+    let obs_gate = if cfg!(debug_assertions) { None } else { Some(spec.overhead_obs) };
     if let Some(max_ovh) = obs_gate {
         for c in obs {
             if c.overhead > max_ovh {
@@ -1163,7 +1121,7 @@ fn check_gate(
     // checksum-combine / transform balance. No tolerance multiplier: the
     // bound carries its own slack and must stay below 1.0 for "strictly
     // cheaper" to mean anything.
-    let batch_gate = if cfg!(debug_assertions) { None } else { spec.max_batch_vs_optonline };
+    let batch_gate = if cfg!(debug_assertions) { None } else { Some(spec.max_batch_vs_optonline) };
     if let Some(max_ratio) = batch_gate {
         for c in batch_chk.iter().filter(|c| c.b >= 8) {
             if c.vs_optonline() >= 1.0 {
@@ -1197,12 +1155,12 @@ fn check_gate(
     }
 }
 
-/// Renders `BENCH_PR.json`. Schema v9: v8 fields are unchanged; v9 adds
-/// the `batch_checksum` section — the batch-level two-sided checksum
-/// scheme against per-transform Opt-Online(c) and plain from
-/// [`time_batch_chk`]. (v8 added the `observability` section — the
-/// instrumented-vs-disabled A/B of the pipeline and service workloads
-/// from [`time_obs_cases`].)
+/// Renders `BENCH_PR.json`. Schema v10: v9 minus the kernel matrix's
+/// fused-vs-unfused Opt-Online columns, with
+/// `plain_kernel_soa_secs`/`soa_speedup` `"skipped"` for a kernel with no
+/// SoA engine (split-radix). (v9 added the `batch_checksum` section from
+/// [`time_batch_chk`]; v8 the `observability` section from
+/// [`time_obs_cases`].)
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     cases: &[Case],
@@ -1222,7 +1180,7 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 9,");
+    let _ = writeln!(s, "  \"schema_version\": 10,");
     let _ = writeln!(s, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
     let _ = writeln!(s, "  \"runs\": {runs},");
     let _ = writeln!(s, "  \"simd\": \"{}\",", simd_level().name());
@@ -1237,24 +1195,21 @@ fn render_json(
             s,
             "\"kernel\": \"{}\", \"log2n\": {}, \"layout\": \"{}\", \
              \"plain_kernel_secs\": {:.9}, \"plain_kernel_gflops\": {:.6}, \
-             \"plain_kernel_aos_secs\": {:.9}, \"plain_kernel_soa_secs\": {:.9}, \
-             \"soa_speedup\": {:.6}, \
+             \"plain_kernel_aos_secs\": {:.9}, \"plain_kernel_soa_secs\": {}, \
+             \"soa_speedup\": {}, \
              \"plain_scheme_secs\": {:.9}, \"opt_online_secs\": {:.9}, \
-             \"overhead_ratio\": {:.6}, \"opt_online_unfused_secs\": {:.9}, \
-             \"fused_gain\": {:.6}",
+             \"overhead_ratio\": {:.6}",
             c.kernel.name(),
             c.log2n,
             c.layout.name(),
             c.plain_kernel_secs,
             gflops(n, c.plain_kernel_secs),
             c.plain_kernel_aos_secs,
-            c.plain_kernel_soa_secs,
-            c.soa_speedup(),
+            json_opt(c.plain_kernel_soa_secs, 9),
+            json_opt(c.soa_speedup(), 6),
             c.plain_scheme_secs,
             c.opt_online_secs,
-            c.overhead_ratio(),
-            c.opt_online_unfused_secs,
-            c.fused_gain()
+            c.overhead_ratio()
         );
         s.push_str(if i + 1 < cases.len() { "},\n" } else { "}\n" });
     }

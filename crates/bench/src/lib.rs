@@ -110,13 +110,7 @@ pub fn gflops(n: usize, secs: f64) -> f64 {
 
 /// Times one sequential scheme at size `n` (median of `runs`).
 pub fn time_scheme(n: usize, scheme: Scheme, runs: usize) -> f64 {
-    time_scheme_cfg(n, FtConfig::new(scheme), runs)
-}
-
-/// Times one sequential scheme with an explicit config (median of `runs`)
-/// — the hook the perf harness uses to A/B `FtConfig::fused`.
-pub fn time_scheme_cfg(n: usize, cfg: FtConfig, runs: usize) -> f64 {
-    time_scheme_spec(&PlanSpec::from_config(n, Direction::Forward, cfg), runs)
+    time_scheme_spec(&PlanSpec::builder(n).scheme(scheme).build(), runs)
 }
 
 /// Times one sequential scheme from a full [`PlanSpec`] (median of
@@ -271,8 +265,7 @@ impl PipelineRun {
     /// Encodes the stream and builds the pipeline (not timed).
     pub fn new(n: usize, frames: usize, crc: bool, campaign: bool) -> Self {
         let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build();
-        let signal: Vec<f64> =
-            uniform_signal(n * frames, 42).iter().map(|z| z.re * 0.5).collect();
+        let signal: Vec<f64> = uniform_signal(n * frames, 42).iter().map(|z| z.re * 0.5).collect();
         PipelineRun {
             pipeline: PipelineBuilder::new(&spec)
                 .queue_capacity(frames)
@@ -472,67 +465,59 @@ pub fn json_number(fields: &[(String, f64)], key: &str) -> Option<f64> {
 
 /// Parsed `baseline.json` gate bounds.
 ///
-/// Only `overhead_optonline` and `tolerance` are required; every later
-/// gate rides in an optional field, so a newer perfgate binary keeps
-/// accepting older baselines (v2 without streaming, v3 without the SoA
-/// and fused-gain keys, v4 without the sibling-loss key, v6 without the
-/// pipeline key, v8 without the batch-checksum key) and simply skips the
-/// gates the file doesn't carry. The unit tests pin this with
-/// per-version fixtures.
+/// Every key is required: a baseline that lacks one fails to parse, so a
+/// gate can never be skipped silently by a missing or misspelled key.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BaselineSpec {
     /// Worst tolerated `t(Opt-Online(m)) / t(Plain)` ratio.
     pub overhead_optonline: f64,
     /// Relative slack applied to the overhead bounds.
     pub tolerance: f64,
-    /// Minimum fused-CCG speedup at sizes ≥ 2¹⁶ (full mode; since v2).
-    pub min_ccg_speedup: Option<f64>,
-    /// Streaming 1-worker overhead bound (since v3).
-    pub overhead_stream: Option<f64>,
+    /// Minimum fused-CCG speedup at sizes ≥ 2¹⁶ (full mode).
+    pub min_ccg_speedup: f64,
+    /// Streaming 1-worker overhead bound.
+    pub overhead_stream: f64,
     /// Minimum best-kernel SoA/AoS plain-kernel speedup at sizes ≥ 2¹⁶
-    /// (full mode; since v4).
-    pub min_soa_speedup: Option<f64>,
-    /// Minimum *median* fused-vs-unfused gain across the kernel matrix
-    /// (full mode; since v4).
-    pub min_fused_gain: Option<f64>,
-    /// Largest fraction by which the heuristic-chosen layout of any
+    /// (full mode).
+    pub min_soa_speedup: f64,
+    /// Largest fraction by which the planner-chosen layout of any
     /// kernel-matrix cell at sizes ≥ 2¹⁶ may lose to its sibling layout
-    /// (full mode; since v5).
-    pub max_sibling_loss: Option<f64>,
+    /// (full mode).
+    pub max_sibling_loss: f64,
     /// Minimum plan-cache hit rate of the multi-tenant service workload
-    /// (all modes; since v6).
-    pub min_cache_hit_rate: Option<f64>,
+    /// (all modes).
+    pub min_cache_hit_rate: f64,
     /// Largest tolerated CRC-on/CRC-off throughput ratio of the protected
-    /// telemetry pipeline (all modes; since v7).
-    pub overhead_pipeline_crc: Option<f64>,
+    /// telemetry pipeline (optimized builds).
+    pub overhead_pipeline_crc: f64,
     /// Largest tolerated instrumented/`no-obs`-equivalent throughput
-    /// ratio of the observability layer (optimized builds; since v8).
-    pub overhead_obs: Option<f64>,
+    /// ratio of the observability layer (optimized builds).
+    pub overhead_obs: f64,
     /// Largest tolerated `t(BatchChecksum batch) / t(B × Opt-Online(c))`
-    /// ratio at batch sizes `B ≥ 8` (optimized builds; since v9). Must
-    /// sit below 1.0: the batch scheme's whole point is amortizing two
-    /// checksum transforms over the batch instead of paying per-transform
+    /// ratio at batch sizes `B ≥ 8` (optimized builds). Must sit below
+    /// 1.0: the batch scheme's whole point is amortizing two checksum
+    /// transforms over the batch instead of paying per-transform
     /// verification.
-    pub max_batch_vs_optonline: Option<f64>,
+    pub max_batch_vs_optonline: f64,
 }
 
 impl BaselineSpec {
     /// Parses a baseline file's text; `None` when the JSON is malformed or
-    /// a required key is missing.
+    /// any gate key is missing.
     pub fn parse(text: &str) -> Option<BaselineSpec> {
         let fields = parse_flat_json_numbers(text)?;
+        let key = |name: &str| json_number(&fields, name);
         Some(BaselineSpec {
-            overhead_optonline: json_number(&fields, "overhead_optonline")?,
-            tolerance: json_number(&fields, "tolerance")?,
-            min_ccg_speedup: json_number(&fields, "min_ccg_speedup"),
-            overhead_stream: json_number(&fields, "overhead_stream"),
-            min_soa_speedup: json_number(&fields, "min_soa_speedup"),
-            min_fused_gain: json_number(&fields, "min_fused_gain"),
-            max_sibling_loss: json_number(&fields, "max_sibling_loss"),
-            min_cache_hit_rate: json_number(&fields, "min_cache_hit_rate"),
-            overhead_pipeline_crc: json_number(&fields, "overhead_pipeline_crc"),
-            overhead_obs: json_number(&fields, "overhead_obs"),
-            max_batch_vs_optonline: json_number(&fields, "max_batch_vs_optonline"),
+            overhead_optonline: key("overhead_optonline")?,
+            tolerance: key("tolerance")?,
+            min_ccg_speedup: key("min_ccg_speedup")?,
+            overhead_stream: key("overhead_stream")?,
+            min_soa_speedup: key("min_soa_speedup")?,
+            max_sibling_loss: key("max_sibling_loss")?,
+            min_cache_hit_rate: key("min_cache_hit_rate")?,
+            overhead_pipeline_crc: key("overhead_pipeline_crc")?,
+            overhead_obs: key("overhead_obs")?,
+            max_batch_vs_optonline: key("max_batch_vs_optonline")?,
         })
     }
 }
@@ -726,207 +711,25 @@ mod tests {
     }
 
     #[test]
-    fn baseline_spec_accepts_v3_fixture_without_soa_keys() {
-        // The exact shape of the committed baseline before the v4 keys
-        // (it self-declared schema_version 2 while already carrying the
-        // v3 overhead_stream key): the parser must keep accepting it,
-        // with the v4 gates simply absent.
-        let v3 = r#"{
-            "schema_version": 2,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0
-        }"#;
-        let spec = BaselineSpec::parse(v3).expect("v3 baseline must parse");
-        assert_eq!(spec.overhead_optonline, 2.4);
-        assert_eq!(spec.tolerance, 1.0);
-        assert_eq!(spec.min_ccg_speedup, Some(1.15));
-        assert_eq!(spec.overhead_stream, Some(2.0));
-        assert_eq!(spec.min_soa_speedup, None);
-        assert_eq!(spec.min_fused_gain, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v4_gates_and_rejects_incomplete_files() {
-        let v4 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97
-        }"#;
-        let spec = BaselineSpec::parse(v4).expect("v4 baseline must parse");
-        assert_eq!(spec.min_soa_speedup, Some(1.15));
-        assert_eq!(spec.min_fused_gain, Some(0.97));
-        assert_eq!(spec.min_ccg_speedup, None);
-        // Required keys stay required.
-        assert_eq!(BaselineSpec::parse(r#"{"tolerance": 1.0}"#), None);
+    fn baseline_spec_requires_every_gate_key() {
+        // The committed baseline parses, and dropping any one of its
+        // numeric keys (except the schema tag) makes the parse fail — a
+        // missing key must never silently skip its gate, and the file
+        // carries no key that no gate reads.
+        let committed = include_str!("../baseline.json");
+        assert!(BaselineSpec::parse(committed).is_some(), "committed baseline must parse");
+        let fields = parse_flat_json_numbers(committed).expect("committed baseline is flat JSON");
+        let render = |fields: &[&(String, f64)]| {
+            let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("{{{}}}", body.join(", "))
+        };
+        let all: Vec<&(String, f64)> = fields.iter().collect();
+        assert!(BaselineSpec::parse(&render(&all)).is_some(), "re-rendered baseline must parse");
+        for (key, _) in fields.iter().filter(|(k, _)| k != "schema_version") {
+            let without: Vec<&(String, f64)> = fields.iter().filter(|(k, _)| k != key).collect();
+            assert_eq!(BaselineSpec::parse(&render(&without)), None, "parsed without {key}");
+        }
         assert_eq!(BaselineSpec::parse("not json"), None);
-    }
-
-    #[test]
-    fn baseline_spec_accepts_v4_fixture_without_sibling_key() {
-        // The exact key set of the committed v4 baseline: a v5 binary
-        // must keep accepting it, with the sibling gate simply absent.
-        let v4 = r#"{
-            "schema_version": 4,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97
-        }"#;
-        let spec = BaselineSpec::parse(v4).expect("v4 baseline must parse");
-        assert_eq!(spec.overhead_optonline, 2.4);
-        assert_eq!(spec.min_soa_speedup, Some(1.15));
-        assert_eq!(spec.min_fused_gain, Some(0.97));
-        assert_eq!(spec.max_sibling_loss, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v5_sibling_key() {
-        let v5 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "max_sibling_loss": 0.3
-        }"#;
-        let spec = BaselineSpec::parse(v5).expect("v5 baseline must parse");
-        assert_eq!(spec.max_sibling_loss, Some(0.3));
-    }
-
-    #[test]
-    fn baseline_spec_accepts_v5_fixture_without_cache_key() {
-        // The exact key set of the committed v5 baseline: a v6 binary
-        // must keep accepting it, with the cache gate simply absent.
-        let v5 = r#"{
-            "schema_version": 5,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97,
-            "max_sibling_loss": 0.3
-        }"#;
-        let spec = BaselineSpec::parse(v5).expect("v5 baseline must parse");
-        assert_eq!(spec.max_sibling_loss, Some(0.3));
-        assert_eq!(spec.min_cache_hit_rate, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v6_cache_key() {
-        let v6 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_cache_hit_rate": 0.9
-        }"#;
-        let spec = BaselineSpec::parse(v6).expect("v6 baseline must parse");
-        assert_eq!(spec.min_cache_hit_rate, Some(0.9));
-    }
-
-    #[test]
-    fn baseline_spec_accepts_v6_fixture_without_pipeline_key() {
-        // The exact key set of the committed v6 baseline: a v7 binary
-        // must keep accepting it, with the pipeline gate simply absent.
-        let v6 = r#"{
-            "schema_version": 6,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97,
-            "max_sibling_loss": 0.3,
-            "min_cache_hit_rate": 0.9
-        }"#;
-        let spec = BaselineSpec::parse(v6).expect("v6 baseline must parse");
-        assert_eq!(spec.min_cache_hit_rate, Some(0.9));
-        assert_eq!(spec.overhead_pipeline_crc, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v7_pipeline_key() {
-        let v7 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "overhead_pipeline_crc": 1.3
-        }"#;
-        let spec = BaselineSpec::parse(v7).expect("v7 baseline must parse");
-        assert_eq!(spec.overhead_pipeline_crc, Some(1.3));
-    }
-
-    #[test]
-    fn baseline_spec_accepts_v7_fixture_without_obs_key() {
-        // The exact key set of the committed v7 baseline: a v8 binary
-        // must keep accepting it, with the observability gate simply
-        // absent.
-        let v7 = r#"{
-            "schema_version": 7,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97,
-            "max_sibling_loss": 0.3,
-            "min_cache_hit_rate": 0.9,
-            "overhead_pipeline_crc": 1.3
-        }"#;
-        let spec = BaselineSpec::parse(v7).expect("v7 baseline must parse");
-        assert_eq!(spec.overhead_pipeline_crc, Some(1.3));
-        assert_eq!(spec.overhead_obs, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v8_obs_key() {
-        let v8 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "overhead_obs": 1.05
-        }"#;
-        let spec = BaselineSpec::parse(v8).expect("v8 baseline must parse");
-        assert_eq!(spec.overhead_obs, Some(1.05));
-    }
-
-    #[test]
-    fn baseline_spec_accepts_v8_fixture_without_batch_key() {
-        // The exact key set of the committed v8 baseline: a v9 binary
-        // must keep accepting it, with the batch-checksum gate simply
-        // absent.
-        let v8 = r#"{
-            "schema_version": 8,
-            "comment": "ratios, measured on the CI runner",
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "min_ccg_speedup": 1.15,
-            "overhead_stream": 2.0,
-            "min_soa_speedup": 1.15,
-            "min_fused_gain": 0.97,
-            "max_sibling_loss": 0.3,
-            "min_cache_hit_rate": 0.9,
-            "overhead_pipeline_crc": 1.3,
-            "overhead_obs": 1.05
-        }"#;
-        let spec = BaselineSpec::parse(v8).expect("v8 baseline must parse");
-        assert_eq!(spec.overhead_obs, Some(1.05));
-        assert_eq!(spec.max_batch_vs_optonline, None);
-    }
-
-    #[test]
-    fn baseline_spec_reads_v9_batch_key() {
-        let v9 = r#"{
-            "overhead_optonline": 2.4,
-            "tolerance": 1.0,
-            "max_batch_vs_optonline": 0.9
-        }"#;
-        let spec = BaselineSpec::parse(v9).expect("v9 baseline must parse");
-        assert_eq!(spec.max_batch_vs_optonline, Some(0.9));
     }
 
     #[test]

@@ -12,10 +12,14 @@ use std::process::Command;
 
 use ftfft_bench::smoke_args;
 
-/// Runs `exe` with `args`, asserting success and non-empty stdout.
+/// Runs `exe` with `args`, asserting success and non-empty stdout. The
+/// working directory is the system temp dir, so a binary's default
+/// output file (perfgate's `BENCH_PR.json`, when `reproduce_all` runs it)
+/// never overwrites the committed one in the package directory.
 fn run_ok(name: &str, exe: &str, args: &[&str]) -> String {
     let out = Command::new(exe)
         .args(args)
+        .current_dir(std::env::temp_dir())
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -104,13 +108,12 @@ fn perfgate_smoke() {
     assert!(stdout.contains("perf gate OK"), "unexpected output:\n{stdout}");
     let json = std::fs::read_to_string(&out).expect("perfgate wrote BENCH_PR.json");
     let _ = std::fs::remove_file(&out);
-    assert!(json.contains("\"schema_version\": 9"), "schema header missing:\n{json}");
+    assert!(json.contains("\"schema_version\": 10"), "schema header missing:\n{json}");
     assert!(json.contains("\"threads\""), "threads column missing:\n{json}");
     assert!(json.contains("\"single_cpu\""), "single_cpu column missing:\n{json}");
     assert!(json.contains("\"parallel_strategy\""), "parallel section missing:\n{json}");
     assert!(json.contains("\"auto_picks\""), "strategy column missing:\n{json}");
     assert!(json.contains("\"overhead_ratio\""), "cases missing:\n{json}");
-    assert!(json.contains("\"fused_gain\""), "fused column missing:\n{json}");
     assert!(json.contains("\"layout\""), "layout column missing:\n{json}");
     assert!(json.contains("\"soa_speedup\""), "soa speedup column missing:\n{json}");
     assert!(json.contains("\"ccg_kernels\""), "ccg section missing:\n{json}");

@@ -268,7 +268,10 @@ impl Crc32 {
             // a little-endian target an `f64`'s in-memory bytes are exactly
             // `to_bits().to_le_bytes()`.
             let bytes = unsafe {
-                std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words))
+                std::slice::from_raw_parts(
+                    words.as_ptr().cast::<u8>(),
+                    std::mem::size_of_val(words),
+                )
             };
             self.update(bytes)
         }
@@ -407,7 +410,8 @@ mod tests {
         let data = seeded_bytes(700, 4);
         let want = reference(&data);
         let len = data.len();
-        for split in [1, 8, 15, 16, 17, 112, 127, 128, 129, 130, 256, len - 129, len - 128, len - 127]
+        for split in
+            [1, 8, 15, 16, 17, 112, 127, 128, 129, 130, 256, len - 129, len - 128, len - 127]
         {
             let inc = Crc32::new().update(&data[..split]).update(&data[split..]).finish();
             assert_eq!(inc, want, "split at {split}");

@@ -22,8 +22,7 @@ use ftfft_numeric::Complex64;
 
 /// Gather block size: even (keeps SIMD lane parity across blocks) and
 /// small enough that the block stays in L1 between the fill and the
-/// accumulate halves of the loop. Shared by the AoS and split-plane
-/// variants so their accumulation boundaries coincide.
+/// accumulate halves of the loop.
 const BLOCK: usize = 64;
 
 /// Elements of look-ahead for the strided-read prefetch: far enough to
@@ -77,73 +76,6 @@ pub fn gather_sum1(
         t += block;
     }
     acc.finish()
-}
-
-/// Split-plane variant of [`gather_sum1`]: fills `buf_re`/`buf_im` with
-/// the deinterleaved strided gather and returns the CCG from the same
-/// pass. The checksum is **bitwise equal** to [`gather_sum1`]'s (same
-/// block boundaries, same two-lane accumulator), and the planes hold
-/// exactly the values the AoS buffer would — this is the entry point for
-/// protected executors whose sub-plans run split-complex: one strided
-/// read feeds the checksum *and* lands the data in the SoA layout the
-/// sub-FFT consumes directly, with no second conversion pass.
-pub fn gather_sum1_split(
-    src: &[Complex64],
-    offset: usize,
-    stride: usize,
-    ra: &[Complex64],
-    buf_re: &mut [f64],
-    buf_im: &mut [f64],
-) -> Complex64 {
-    debug_assert!(stride >= 1);
-    debug_assert_eq!(buf_re.len(), buf_im.len());
-    debug_assert!(ra.len() >= buf_re.len());
-    let count = buf_re.len();
-    let mut acc = DotAcc::new();
-    let mut t = 0usize;
-    while t < count {
-        let block = BLOCK.min(count - t);
-        fill_block_split(
-            src,
-            offset + t * stride,
-            stride,
-            &mut buf_re[t..t + block],
-            &mut buf_im[t..t + block],
-        );
-        acc.accumulate_split(&buf_re[t..t + block], &buf_im[t..t + block], &ra[t..t + block]);
-        t += block;
-    }
-    acc.finish()
-}
-
-#[inline(always)]
-fn fill_block_split(
-    src: &[Complex64],
-    start: usize,
-    stride: usize,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-) {
-    let mut idx = start;
-    for (r, i) in out_re.iter_mut().zip(out_im.iter_mut()) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let pf = idx + PREFETCH_AHEAD * stride;
-            if pf < src.len() {
-                // SAFETY: prefetch is a hint; the address is in-bounds.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch(
-                        src.as_ptr().add(pf) as *const i8,
-                        std::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
-            }
-        }
-        let z = src[idx];
-        *r = z.re;
-        *i = z.im;
-        idx += stride;
-    }
 }
 
 /// Fills `buf[..count]` like [`gather_sum1`] and returns the full combined
@@ -217,28 +149,6 @@ mod tests {
 
             assert_eq!(fused_buf, sep_buf, "count={count} stride={stride}");
             assert_eq!(fused, separate, "count={count} stride={stride}");
-        }
-    }
-
-    #[test]
-    fn split_gather_bitwise_equals_aos_gather() {
-        for (count, stride, offset) in
-            [(7usize, 3usize, 1usize), (64, 8, 0), (100, 5, 4), (257, 2, 1)]
-        {
-            let src = uniform_signal(offset + count * stride, 500 + count as u64);
-            let ra = input_checksum_vector(count, Direction::Forward);
-
-            let mut aos_buf = vec![Complex64::ZERO; count];
-            let aos = gather_sum1(&src, offset, stride, &ra, &mut aos_buf);
-
-            let mut re = vec![0.0; count];
-            let mut im = vec![0.0; count];
-            let split = gather_sum1_split(&src, offset, stride, &ra, &mut re, &mut im);
-
-            assert_eq!(split, aos, "count={count} stride={stride}");
-            for t in 0..count {
-                assert_eq!((re[t], im[t]), (aos_buf[t].re, aos_buf[t].im), "t={t}");
-            }
         }
     }
 

@@ -58,7 +58,7 @@ pub use combined::{
     combined_sum1_strided, combined_verify, CombinedChecksum,
 };
 pub use crc32::{crc32, crc32_f64s, Crc32};
-pub use fused::{gather_combined, gather_sum1, gather_sum1_split};
+pub use fused::{gather_combined, gather_sum1};
 pub use incremental::IncrementalSlots;
 pub use input_vector::{
     input_checksum_vector, input_checksum_vector_direct, input_checksum_vector_into,

@@ -132,6 +132,12 @@ pub const SCHEME_ENV: &str = "FTFFT_SCHEME";
 /// 0 = no override, else 1 + index into [`Scheme::ALL`].
 static FORCED_SCHEME: AtomicU8 = AtomicU8::new(0);
 
+/// Serializes this crate's tests that flip a process-global `force_*`
+/// override with the ones that resolve a spec twice and compare, so none
+/// of them observes another's transient pin.
+#[cfg(test)]
+pub(crate) static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Process-wide default-scheme override: `Some(s)` makes every
 /// subsequently-resolved spec whose scheme is still [`Scheme::Plain`]
 /// use `s` regardless of [`SCHEME_ENV`] (`None` re-enables env).
@@ -167,57 +173,6 @@ fn scheme_env_or_forced() -> Option<Scheme> {
     }
 }
 
-/// Policy for the fused gather+checksum hot path (§4.4 single-pass
-/// buffering, SIMD-accumulated).
-///
-/// Fused and separate passes are **bitwise identical** by the checksum
-/// crate's contract, so this is purely a performance knob. The perfgate
-/// matrix (see `BENCH_PR.json`, `fused_gain` column) showed the global
-/// always-fused default of PR 3 losing a few percent at mid sizes
-/// (radix2 @ 2¹²) where the gather buffer is L1-resident and the
-/// streaming-accumulator setup is pure overhead per tiny column — hence a
-/// per-(size, layout) resolution instead of a global boolean.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FusedPolicy {
-    /// Per-(size, layout) heuristic (the default): fused except for very
-    /// short checksum columns, where accumulator setup dominates the
-    /// saved pass — and **never** for split-complex (SoA) sub-plans.
-    /// The SoA fused path was assumed to break even earlier (it folds
-    /// the deinterleave into the gather sweep), but a best-of-5 A/B on
-    /// the reference AVX box shows it *losing* 27–37% at every measured
-    /// size (2¹⁰–2¹⁶, radix-2 and radix-4 alike): the combined
-    /// gather+checksum+deinterleave sweep vectorizes worse than the
-    /// plane kernels' bulk conversion it replaces — the radix4+SoA
-    /// `fused_gain < 1` cells of BENCH_PR.json, now resolved unfused.
-    Auto,
-    /// Always the fused single-pass path (PR-3 behavior).
-    Always,
-    /// Always the PR-2-era separate gather-then-checksum passes — the
-    /// perf harness' A/B baseline.
-    Never,
-}
-
-impl FusedPolicy {
-    /// Resolves the policy for a sub-FFT of `count` gathered elements
-    /// whose sub-plan runs `layout`. `Auto` fuses from 16 elements for
-    /// AoS sub-plans and never for SoA ones (measured 27–37% slower at
-    /// every size — see the variant doc); `Always`/`Never` ignore both
-    /// arguments.
-    pub fn resolve_for(self, count: usize, layout: Layout) -> bool {
-        match self {
-            FusedPolicy::Always => true,
-            FusedPolicy::Never => false,
-            FusedPolicy::Auto => layout == Layout::Aos && count >= 16,
-        }
-    }
-
-    /// Layout-blind resolution: [`resolve_for`](Self::resolve_for) with
-    /// the conservative AoS threshold.
-    pub fn resolve(self, count: usize) -> bool {
-        self.resolve_for(count, Layout::Aos)
-    }
-}
-
 /// Executor configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FtConfig {
@@ -237,10 +192,6 @@ pub struct FtConfig {
     /// Second-part batch size `s` (k-point FFTs per verification group in
     /// the memory hierarchies).
     pub batch_s: usize,
-    /// Fused gather+checksum policy (§4.4 single-pass buffering,
-    /// SIMD-accumulated): [`FusedPolicy::Auto`] resolves per sub-FFT size;
-    /// `Always`/`Never` pin it — the perf harness' A/B switch.
-    pub fused: FusedPolicy,
     /// Worker count for the pooled executors (`ftfft_parallel::PooledFtFft`):
     /// `None` defers to the `FTFFT_THREADS` environment variable, falling
     /// back to the machine's available parallelism. Plain `execute` ignores
@@ -259,7 +210,6 @@ impl FtConfig {
             threshold_scale: 1.0,
             split_k: None,
             batch_s: 8,
-            fused: FusedPolicy::Auto,
             threads: None,
         }
     }
@@ -285,19 +235,6 @@ impl FtConfig {
     /// Overrides the retry bound.
     pub fn with_max_retries(mut self, r: u32) -> Self {
         self.max_retries = r;
-        self
-    }
-
-    /// Pins the fused gather+checksum hot path on (`Always`) or off
-    /// (`Never`), bypassing the per-size heuristic.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = if fused { FusedPolicy::Always } else { FusedPolicy::Never };
-        self
-    }
-
-    /// Sets the fused-path policy directly.
-    pub fn with_fused_policy(mut self, policy: FusedPolicy) -> Self {
-        self.fused = policy;
         self
     }
 
@@ -329,7 +266,6 @@ pub struct PlanSpec {
     layout: Option<Layout>,
     strategy: Option<Strategy>,
     threads: Option<usize>,
-    fused: FusedPolicy,
     /// SIMD dispatch level recorded at resolution (`FTFFT_SIMD` routes
     /// through the same process-global detection every kernel uses; the
     /// spec records it so cache keys and telemetry distinguish runs, not
@@ -363,7 +299,6 @@ impl PlanSpec {
             layout: None,
             strategy: None,
             threads: cfg.threads,
-            fused: cfg.fused,
             simd: None,
             max_retries: cfg.max_retries,
             batch_s: cfg.batch_s,
@@ -436,7 +371,6 @@ impl PlanSpec {
             threshold_scale: self.threshold_scale,
             split_k: self.split_k,
             batch_s: self.batch_s,
-            fused: self.fused,
             threads: self.threads,
         }
     }
@@ -504,11 +438,6 @@ impl PlanSpec {
         self.threads
     }
 
-    /// Fused gather+checksum policy.
-    pub fn fused(&self) -> FusedPolicy {
-        self.fused
-    }
-
     /// SIMD dispatch level recorded at resolution (`None` before
     /// [`PlanSpec::resolve`]).
     pub fn simd(&self) -> Option<SimdLevel> {
@@ -547,12 +476,12 @@ impl PlanSpec {
         &self,
     ) -> (
         (usize, Direction, Scheme, Option<Pow2Kernel>, Option<Layout>, Option<Strategy>),
-        (Option<usize>, FusedPolicy, Option<SimdLevel>, u32, usize, Option<usize>),
+        (Option<usize>, Option<SimdLevel>, u32, usize, Option<usize>),
         (u64, u64),
     ) {
         (
             (self.n, self.dir, self.scheme, self.kernel, self.layout, self.strategy),
-            (self.threads, self.fused, self.simd, self.max_retries, self.batch_s, self.split_k),
+            (self.threads, self.simd, self.max_retries, self.batch_s, self.split_k),
             (self.sigma0.to_bits(), self.threshold_scale.to_bits()),
         )
     }
@@ -601,8 +530,8 @@ impl PlanSpecBuilder {
     }
 
     /// Pins the data layout (default: `FTFFT_LAYOUT`, then the size
-    /// heuristic per sub-plan). Explicit layouts are honored verbatim —
-    /// the A/B primitive.
+    /// heuristic per sub-plan). Explicit layouts beat both; split-radix
+    /// sub-plans have no SoA engine and always run AoS.
     pub fn layout(mut self, layout: Layout) -> Self {
         self.spec.layout = Some(layout);
         self
@@ -620,22 +549,6 @@ impl PlanSpecBuilder {
     /// strategy decision.
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Pins the fused gather+checksum hot path on or off, mirroring
-    /// [`FtConfig::with_fused`]: `true` maps to [`FusedPolicy::Always`],
-    /// `false` to [`FusedPolicy::Never`]. The per-size default
-    /// ([`FusedPolicy::Auto`]) is only reachable by *not* calling this —
-    /// or explicitly via [`PlanSpecBuilder::fused_policy`].
-    pub fn fused(self, fused: bool) -> Self {
-        self.fused_policy(if fused { FusedPolicy::Always } else { FusedPolicy::Never })
-    }
-
-    /// Sets the fused-path policy directly, making [`FusedPolicy::Auto`]
-    /// reachable without env vars.
-    pub fn fused_policy(mut self, policy: FusedPolicy) -> Self {
-        self.spec.fused = policy;
         self
     }
 
@@ -702,16 +615,12 @@ mod tests {
             .with_threshold_scale(2.0)
             .with_split_k(64)
             .with_max_retries(5)
-            .with_fused(false)
             .with_threads(4);
         assert_eq!(c.sigma0, 1.0);
         assert_eq!(c.threshold_scale, 2.0);
         assert_eq!(c.split_k, Some(64));
         assert_eq!(c.max_retries, 5);
-        assert_eq!(c.fused, FusedPolicy::Never);
         assert_eq!(c.threads, Some(4));
-        assert_eq!(FtConfig::new(Scheme::Plain).fused, FusedPolicy::Auto);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(true).fused, FusedPolicy::Always);
         assert_eq!(FtConfig::new(Scheme::Plain).with_threads(0).threads, Some(1));
     }
 
@@ -728,6 +637,7 @@ mod tests {
 
     #[test]
     fn forced_scheme_fills_default_but_never_explicit() {
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Plain is the builder default, so it is what the env/forced tier
         // fills; an explicitly-protected spec is never overridden.
         force_scheme(Some(Scheme::BatchChecksum));
@@ -757,7 +667,6 @@ mod tests {
             .layout(Layout::Soa)
             .strategy(Strategy::Serial)
             .threads(4)
-            .fused_policy(FusedPolicy::Auto)
             .max_retries(5)
             .sigma0(1.0)
             .threshold_scale(2.0)
@@ -771,7 +680,6 @@ mod tests {
         assert_eq!(spec.layout(), Some(Layout::Soa));
         assert_eq!(spec.strategy(), Some(Strategy::Serial));
         assert_eq!(spec.threads(), Some(4));
-        assert_eq!(spec.fused(), FusedPolicy::Auto);
         assert_eq!(spec.max_retries(), 5);
         assert_eq!(spec.sigma0(), 1.0);
         assert_eq!(spec.threshold_scale(), 2.0);
@@ -779,33 +687,14 @@ mod tests {
         assert_eq!(spec.batch_s(), 16);
         let cfg = spec.ft_config();
         assert_eq!(cfg.scheme, Scheme::OnlineMemOpt);
-        assert_eq!(cfg.fused, FusedPolicy::Auto);
         assert_eq!(cfg.split_k, Some(64));
         assert_eq!(cfg.threads, Some(4));
     }
 
     #[test]
-    fn builder_fused_bool_maps_to_always_never() {
-        // The documented with_fused(bool) contract, on both APIs:
-        // true → Always, false → Never, untouched → Auto.
-        assert_eq!(PlanSpec::builder(8).fused(true).build().fused(), FusedPolicy::Always);
-        assert_eq!(PlanSpec::builder(8).fused(false).build().fused(), FusedPolicy::Never);
-        assert_eq!(PlanSpec::builder(8).build().fused(), FusedPolicy::Auto);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(true).fused, FusedPolicy::Always);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(false).fused, FusedPolicy::Never);
-        // Auto is reachable without env vars through either policy setter.
-        assert_eq!(
-            FtConfig::new(Scheme::Plain)
-                .with_fused(false)
-                .with_fused_policy(FusedPolicy::Auto)
-                .fused,
-            FusedPolicy::Auto
-        );
-    }
-
-    #[test]
     fn spec_precedence_explicit_beats_forced_beats_heuristic() {
         use ftfft_fft::force_layout;
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Heuristic tier: nothing set, nothing forced — resolution leaves
         // the knob for the per-sub-plan heuristic.
         let heuristic = PlanSpec::builder(1 << 12).build();
@@ -820,6 +709,7 @@ mod tests {
 
     #[test]
     fn spec_resolution_records_simd_and_is_idempotent() {
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let spec = PlanSpec::builder(256).scheme(Scheme::OnlineCompOpt).build();
         assert_eq!(spec.simd(), None);
         let r = spec.resolve();
@@ -840,8 +730,6 @@ mod tests {
             base().layout(Layout::Aos).build(),
             base().strategy(Strategy::Serial).build(),
             base().threads(2).build(),
-            base().fused(true).build(),
-            base().fused(false).build(),
             base().max_retries(9).build(),
             base().sigma0(0.25).build(),
             base().threshold_scale(3.0).build(),
@@ -851,32 +739,5 @@ mod tests {
         let set: HashSet<PlanSpec> = specs.iter().copied().collect();
         assert_eq!(set.len(), specs.len(), "every knob must key the hash");
         assert_eq!(specs[0], base().build(), "equal specs stay equal");
-    }
-
-    #[test]
-    fn fused_policy_resolution() {
-        assert!(FusedPolicy::Always.resolve(1));
-        assert!(!FusedPolicy::Never.resolve(1 << 20));
-        assert!(!FusedPolicy::Auto.resolve(8));
-        assert!(FusedPolicy::Auto.resolve(16));
-        assert!(FusedPolicy::Auto.resolve(1 << 10));
-    }
-
-    #[test]
-    fn fused_policy_is_layout_aware() {
-        // Auto: AoS sub-plans fuse from 16 elements; SoA sub-plans never
-        // auto-fuse (measured 27–37% slower at every size — the fused
-        // strided sweep defeats the plane kernels' bulk conversion).
-        assert!(!FusedPolicy::Auto.resolve_for(8, Layout::Soa));
-        assert!(!FusedPolicy::Auto.resolve_for(1 << 20, Layout::Soa));
-        assert!(!FusedPolicy::Auto.resolve_for(8, Layout::Aos));
-        assert!(FusedPolicy::Auto.resolve_for(16, Layout::Aos));
-        // The pins ignore layout entirely.
-        for layout in [Layout::Aos, Layout::Soa] {
-            assert!(FusedPolicy::Always.resolve_for(1, layout));
-            assert!(!FusedPolicy::Never.resolve_for(1 << 20, layout));
-        }
-        // The layout-blind form is the conservative AoS threshold.
-        assert_eq!(FusedPolicy::Auto.resolve(8), FusedPolicy::Auto.resolve_for(8, Layout::Aos));
     }
 }

@@ -37,7 +37,7 @@ pub mod real;
 pub mod report;
 
 pub use batch_ft::BatchWorkspace;
-pub use config::{FtConfig, FusedPolicy, PlanSpec, PlanSpecBuilder, Scheme};
+pub use config::{FtConfig, PlanSpec, PlanSpecBuilder, Scheme};
 pub use inplace::{InPlaceFtPlan, InPlaceWorkspace};
 pub use plan::{FtFftPlan, Workspace};
 pub use real::{RealFtFftPlan, RealWorkspace};

@@ -19,8 +19,7 @@
 //! This is the paper's headline "Opt-Online" configuration.
 
 use ftfft_checksum::{
-    ccv, ccv_with_sum, combined_checksum, combined_decode, gather_combined, weighted_sum,
-    CombinedChecksum, MemVerdict,
+    ccv, ccv_with_sum, combined_decode, gather_combined, weighted_sum, CombinedChecksum, MemVerdict,
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_numeric::{omega3_pow, simd, Complex64};
@@ -43,8 +42,6 @@ pub(crate) fn run(
     let (k, m) = (two.k(), two.m());
     let n = plan.n();
     let th = *plan.thresholds();
-    let fused1 = plan.fused_part1();
-    let fused2 = plan.fused_part2();
     let split1 = two.inner_plan().supports_split();
     let split2 = two.outer_plan().supports_split();
 
@@ -71,51 +68,28 @@ pub(crate) fn run(
     let (ra_m, ra_k) = (&ws.ra_m[..m], &ws.ra_k[..k]);
 
     // ---- CMCG: one contiguous pass, k combined pairs (§4.1 + §4.4) ------
-    if fused1 {
-        // Row-wise over the m×k view of x: the inner accumulation runs
-        // over contiguous accumulators with a constant weight — the
-        // vectorized dual-AXPY kernel. Accumulators are processed in
-        // column blocks small enough that both ck arrays stay L1-resident
-        // across all m row passes (at k = 1024 an unblocked sweep streams
-        // 3×16 KB per row and thrashes a 32 KB L1d).
-        const CMCG_BLOCK: usize = 256;
-        ws.ck1[..k].fill(Complex64::ZERO);
-        ws.ck2[..k].fill(Complex64::ZERO);
-        let mut b0 = 0usize;
-        while b0 < k {
-            let b = CMCG_BLOCK.min(k - b0);
-            for (t, row) in x.chunks_exact(k).enumerate() {
-                let w1 = ra_m[t];
-                let w2 = w1.scale((t + 1) as f64);
-                simd::axpy2(
-                    &mut ws.ck1[b0..b0 + b],
-                    &mut ws.ck2[b0..b0 + b],
-                    &row[b0..b0 + b],
-                    w1,
-                    w2,
-                );
-            }
-            b0 += b;
-        }
-        for (p, (&s1, &s2)) in ws.in_ck.iter_mut().zip(ws.ck1.iter().zip(&ws.ck2)) {
-            *p = CombinedChecksum { sum1: s1, sum2: s2 };
-        }
-    } else {
-        // Unblocked row sweep (perf-harness A/B baseline): identical
-        // accumulation order and rounding to the blocked pass above —
-        // the fused flag may now resolve differently per layout, so it
-        // must change only the cache-blocking, never a single bit of
-        // the sums, or sibling-layout plans would diverge under faults.
-        ws.ck1[..k].fill(Complex64::ZERO);
-        ws.ck2[..k].fill(Complex64::ZERO);
+    // Row-wise over the m×k view of x: the inner accumulation runs over
+    // contiguous accumulators with a constant weight — the vectorized
+    // dual-AXPY kernel. Accumulators are processed in column blocks small
+    // enough that both ck arrays stay L1-resident across all m row passes
+    // (at k = 1024 an unblocked sweep streams 3×16 KB per row and thrashes
+    // a 32 KB L1d). Each accumulator still sees the rows in order, so the
+    // sums do not depend on the block size.
+    const CMCG_BLOCK: usize = 256;
+    ws.ck1[..k].fill(Complex64::ZERO);
+    ws.ck2[..k].fill(Complex64::ZERO);
+    let mut b0 = 0usize;
+    while b0 < k {
+        let b = CMCG_BLOCK.min(k - b0);
         for (t, row) in x.chunks_exact(k).enumerate() {
             let w1 = ra_m[t];
             let w2 = w1.scale((t + 1) as f64);
-            simd::axpy2(&mut ws.ck1[..k], &mut ws.ck2[..k], &row[..k], w1, w2);
+            simd::axpy2(&mut ws.ck1[b0..b0 + b], &mut ws.ck2[b0..b0 + b], &row[b0..b0 + b], w1, w2);
         }
-        for (p, (&s1, &s2)) in ws.in_ck.iter_mut().zip(ws.ck1.iter().zip(&ws.ck2)) {
-            *p = CombinedChecksum { sum1: s1, sum2: s2 };
-        }
+        b0 += b;
+    }
+    for (p, (&s1, &s2)) in ws.in_ck.iter_mut().zip(ws.ck1.iter().zip(&ws.ck2)) {
+        *p = CombinedChecksum { sum1: s1, sum2: s2 };
     }
     ws.slots.reset();
 
@@ -175,12 +149,7 @@ pub(crate) fn run(
                 // reconstructed delta, whose relative error is O(ε), so
                 // huge corruptions (high exponent-bit flips) converge
                 // geometrically instead of stalling after one repair.
-                let observed = if fused1 {
-                    gather_combined(x, n1, k, ra_m, &mut ws.buf2[..m])
-                } else {
-                    two.gather_first(x, n1, &mut ws.buf2);
-                    combined_checksum(&ws.buf2[..m], ra_m)
-                };
+                let observed = gather_combined(x, n1, k, ra_m, &mut ws.buf2[..m]);
                 rep.checks += 1;
                 match combined_decode(observed, ws.in_ck[n1], ra_m, m, th.eta1) {
                     MemVerdict::Located { index, delta } => {
@@ -278,12 +247,7 @@ pub(crate) fn run(
                 continue;
             }
             {
-                let observed = if fused2 {
-                    gather_combined(&ws.y, j2, m, ra_k, &mut ws.buf2[..k])
-                } else {
-                    two.gather_second(&ws.y, j2, &mut ws.buf2);
-                    combined_checksum(&ws.buf2[..k], ra_k)
-                };
+                let observed = gather_combined(&ws.y, j2, m, ra_k, &mut ws.buf2[..k]);
                 rep.checks += 1;
                 match combined_decode(observed, stored, ra_k, k, th.eta2) {
                     MemVerdict::Located { index, delta } => {

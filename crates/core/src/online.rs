@@ -16,7 +16,7 @@
 //!   computed on the contiguous gather buffer) and the twiddle DMR is fused
 //!   row-wise at the end of each first-part FFT.
 
-use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided, gather_sum1, gather_sum1_split};
+use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided, gather_sum1};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_fft::FftPlan;
 use ftfft_numeric::{simd, Complex64};
@@ -25,37 +25,10 @@ use crate::dmr::{dmr_generate_ra_into, dmr_twiddle};
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
 
-/// Fused gather + CCG + sub-FFT straight through split planes: the gather
-/// deinterleaves into `re`/`im` planes carved from `gather_buf` while
-/// accumulating the checksum, the SoA sub-plan transforms the planes
-/// out-of-place into planes carved from `fft_buf`, and the result is
-/// interleaved into `out` for the (layout-agnostic) injection/CCV/DMR
-/// steps. Bitwise equal to the AoS sequence `gather_sum1` → AoS sub-FFT:
-/// the checksum shares the gather's two-lane accumulator and the SoA
-/// kernels mirror the AoS stages exactly.
-#[allow(clippy::too_many_arguments)]
-fn gather_ccg_fft_split(
-    src: &[Complex64],
-    offset: usize,
-    stride: usize,
-    ra: &[Complex64],
-    sub: &FftPlan,
-    gather_buf: &mut [Complex64],
-    fft_buf: &mut [Complex64],
-    out: &mut [Complex64],
-) -> Complex64 {
-    let count = out.len();
-    let (g_re, g_im) = simd::planes_mut(&mut gather_buf[..count]);
-    let cx = gather_sum1_split(src, offset, stride, ra, g_re, g_im);
-    let (o_re, o_im) = simd::planes_mut(&mut fft_buf[..count]);
-    sub.execute_split(g_re, g_im, o_re, o_im);
-    simd::interleave(o_re, o_im, out);
-    cx
-}
-
-/// Checksum-free sibling of [`gather_ccg_fft_split`] for executors whose
-/// expected checksum is already stored (the §4.1/§4.3 memory hierarchy):
-/// strided gather into planes, SoA sub-FFT, interleave into `out`.
+/// Strided gather straight into SoA planes, SoA sub-FFT, interleave into
+/// `out` — for executors whose expected checksum is already stored (the
+/// §4.1/§4.3 memory hierarchy), so the gather needs no checksum pass.
+/// Bitwise equal to the AoS gather followed by the sub-plan's `execute`.
 pub(crate) fn gather_fft_split(
     src: &[Complex64],
     offset: usize,
@@ -78,11 +51,6 @@ pub(crate) fn gather_fft_split(
 /// `plan.fused_part1()`), the transform, the CCV retry loop, and — in the
 /// optimized variant — the fused row-wise twiddle under DMR. The finished
 /// row is left in `buf[..m]` for the caller to store.
-///
-/// When the m-point sub-plan runs the split-complex engine, the fused
-/// gather writes SoA planes directly and the sub-FFT consumes them with
-/// no boundary conversion (`gather_ccg_fft_split`); outputs are bitwise
-/// identical either way, so scripted faults and checksums are unaffected.
 ///
 /// This is the unit of work the pooled executor
 /// (`ftfft_parallel::PooledFtFft`) fans out across workers: it only reads
@@ -107,32 +75,24 @@ pub fn part1_row(
     let (k, m) = (two.k(), two.m());
     let eta1 = plan.thresholds().eta1;
     let fused = plan.fused_part1();
-    let split = two.inner_plan().supports_split();
     let mut attempts = 0u32;
     loop {
-        let cx = if optimized && fused && split {
-            // One strided pass fills SoA planes + CCG; the sub-FFT runs
-            // on the planes directly (no deinterleave inside the plan).
-            gather_ccg_fft_split(x, n1, k, ra_m, two.inner_plan(), buf2, fft, &mut buf[..m])
-        } else {
-            let cx = if optimized {
-                if fused {
-                    // One pass: fill the gather buffer and accumulate the CCG.
-                    gather_sum1(x, n1, k, ra_m, &mut buf[..m])
-                } else {
-                    two.gather_first(x, n1, buf);
-                    combined_sum1(&buf[..m], ra_m)
-                }
+        let cx = if optimized {
+            if fused {
+                // One pass: fill the gather buffer and accumulate the CCG.
+                gather_sum1(x, n1, k, ra_m, &mut buf[..m])
             } else {
-                // Unoptimized: checksum over the strided source, then a
-                // separate gather for the transform (two strided reads).
-                let cx = combined_sum1_strided(x, n1, k, ra_m);
                 two.gather_first(x, n1, buf);
-                cx
-            };
-            two.inner_fft(buf, fft);
+                combined_sum1(&buf[..m], ra_m)
+            }
+        } else {
+            // Unoptimized: checksum over the strided source, then a
+            // separate gather for the transform (two strided reads).
+            let cx = combined_sum1_strided(x, n1, k, ra_m);
+            two.gather_first(x, n1, buf);
             cx
         };
+        two.inner_fft(buf, fft);
         injector.inject(ctx, Site::SubFftCompute { part: Part::First, index: n1 }, &mut buf[..m]);
         rep.checks += 1;
         let o = ccv(&buf[..m], cx, eta1);
@@ -177,28 +137,21 @@ pub fn part2_col(
     let (k, m) = (two.k(), two.m());
     let eta2 = plan.thresholds().eta2;
     let fused = plan.fused_part2();
-    let split = two.outer_plan().supports_split();
     let mut attempts = 0u32;
     loop {
-        let cx2 = if optimized && fused && split {
-            gather_ccg_fft_split(y, j2, m, ra_k, two.outer_plan(), buf2, fft, &mut buf[..k])
+        let cx2 = if optimized && fused {
+            gather_sum1(y, j2, m, ra_k, &mut buf[..k])
         } else {
-            let cx2 = if optimized && fused {
-                gather_sum1(y, j2, m, ra_k, &mut buf[..k])
-            } else {
-                two.gather_second(y, j2, buf);
-                if !optimized {
-                    // Algorithm 2 order: twiddle multiplication (DMR)
-                    // applied to the column right before the second-part
-                    // FFT.
-                    let col = &mut buf[..k];
-                    dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
-                }
-                combined_sum1(&buf[..k], ra_k)
-            };
-            two.outer_fft(buf, fft);
-            cx2
+            two.gather_second(y, j2, buf);
+            if !optimized {
+                // Algorithm 2 order: twiddle multiplication (DMR) applied
+                // to the column right before the second-part FFT.
+                let col = &mut buf[..k];
+                dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
+            }
+            combined_sum1(&buf[..k], ra_k)
         };
+        two.outer_fft(buf, fft);
         injector.inject(ctx, Site::SubFftCompute { part: Part::Second, index: j2 }, &mut buf[..k]);
         rep.checks += 1;
         let o = ccv(&buf[..k], cx2, eta2);

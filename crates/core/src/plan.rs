@@ -2,7 +2,7 @@
 
 use ftfft_checksum::{CombinedChecksum, IncrementalSlots, MemChecksum};
 use ftfft_fault::FaultInjector;
-use ftfft_fft::{Direction, Planner, TwoLayerPlan, TwoLayerScratch};
+use ftfft_fft::{Direction, Layout, Planner, TwoLayerPlan, TwoLayerScratch};
 use ftfft_numeric::Complex64;
 use ftfft_roundoff::{scaled, thresholds_for_split, Thresholds};
 
@@ -33,9 +33,9 @@ pub struct FtFftPlan {
     dir: Direction,
     two: TwoLayerPlan,
     thresholds: Thresholds,
-    /// `cfg.fused` resolved for the m-element part-1 columns.
+    /// `fuses` resolved for the m-element part-1 columns.
     fused_part1: bool,
-    /// `cfg.fused` resolved for the k-element part-2 columns.
+    /// `fuses` resolved for the k-element part-2 columns.
     fused_part2: bool,
     /// The resolved spec this plan was built from (env overrides already
     /// applied) — the canonical cache key for plan-sharing layers.
@@ -45,6 +45,18 @@ pub struct FtFftPlan {
     /// recompute implicated batch members (and to run members singly when
     /// a batch never fills). `None` for every other scheme.
     repair: Option<Box<FtFftPlan>>,
+}
+
+/// Whether a sub-FFT of `count` gathered elements whose sub-plan runs
+/// `layout` takes the fused gather+checksum pass (§4.4 single-pass
+/// buffering, SIMD-accumulated) instead of a gather followed by a separate
+/// checksum pass. The two are bitwise identical, so this is purely a
+/// performance rule. Below 16 elements the streaming accumulator's setup
+/// outweighs the saved pass. SoA sub-plans never fuse: the strided fused
+/// sweep measured 27–37% slower than the plane kernels' bulk conversion at
+/// every size (2¹⁰–2¹⁶, radix-2 and radix-4).
+fn fuses(count: usize, layout: Layout) -> bool {
+    layout == Layout::Aos && count >= 16
 }
 
 /// Reusable working storage for [`FtFftPlan::execute`]. Allocation-free in
@@ -113,19 +125,16 @@ impl FtFftPlan {
         };
         let thresholds =
             scaled(thresholds_for_split(n, two.k(), two.m(), cfg.sigma0), cfg.threshold_scale);
-        // Resolve the fused policy per (size, layout) of each sub-plan:
-        // part 1 gathers m-element columns into the inner (m-point) plan,
-        // part 2 gathers k-element columns into the outer (k-point) plan,
-        // and the SoA fused path has a lower break-even than the AoS one.
-        let fused_part1 = cfg.fused.resolve_for(two.m(), two.inner_plan().layout());
-        let fused_part2 = cfg.fused.resolve_for(two.k(), two.outer_plan().layout());
+        // Part 1 gathers m-element columns into the inner (m-point) plan,
+        // part 2 gathers k-element columns into the outer (k-point) plan.
+        let fused_part1 = fuses(two.m(), two.inner_plan().layout());
+        let fused_part2 = fuses(two.k(), two.outer_plan().layout());
         // Batch plans carry a per-transform Opt-Online sibling over the
         // same resolved spec: the repair path for implicated members and
         // the fallback when a batch never fills. Opt-Online is never
         // BatchChecksum itself, so the recursion is one level deep.
-        let repair = (cfg.scheme == Scheme::BatchChecksum).then(|| {
-            Box::new(FtFftPlan::from_spec(&spec.with_scheme(Scheme::OnlineCompOpt)))
-        });
+        let repair = (cfg.scheme == Scheme::BatchChecksum)
+            .then(|| Box::new(FtFftPlan::from_spec(&spec.with_scheme(Scheme::OnlineCompOpt))));
         FtFftPlan { cfg, n, dir, two, thresholds, fused_part1, fused_part2, spec, repair }
     }
 
@@ -180,15 +189,16 @@ impl FtFftPlan {
     }
 
     /// Whether part-1 (m-element) checksum gathers run the fused
-    /// single-pass path — `cfg.fused` resolved per size at plan time.
+    /// single-pass path — resolved per sub-plan size and layout at plan
+    /// time.
     #[inline]
-    pub fn fused_part1(&self) -> bool {
+    pub(crate) fn fused_part1(&self) -> bool {
         self.fused_part1
     }
 
     /// Whether part-2 (k-element) checksum gathers run the fused path.
     #[inline]
-    pub fn fused_part2(&self) -> bool {
+    pub(crate) fn fused_part2(&self) -> bool {
         self.fused_part2
     }
 
@@ -376,5 +386,20 @@ impl FtFftPlan {
     ) -> FtReport {
         let mut ws = self.make_workspace();
         self.execute(x, out, injector, &mut ws)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fused_rule_needs_aos_and_sixteen_elements() {
+        assert!(fuses(16, Layout::Aos));
+        assert!(fuses(1 << 20, Layout::Aos));
+        assert!(!fuses(15, Layout::Aos));
+        assert!(!fuses(1, Layout::Aos));
+        assert!(!fuses(16, Layout::Soa));
+        assert!(!fuses(1 << 20, Layout::Soa));
     }
 }

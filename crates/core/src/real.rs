@@ -332,6 +332,7 @@ mod tests {
         // knob through its sub-plans; flipping it must not move a bit of
         // the spectrum or the report, even while a fault is corrected.
         use ftfft_fft::{force_layout, Layout};
+        let _guard = crate::config::FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let n = 512;
         let x = real_signal(n, 6);
         let run = |layout: Layout| {

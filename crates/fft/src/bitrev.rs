@@ -185,8 +185,8 @@ pub unsafe fn bit_reverse_copy_c64_outer(
 }
 
 /// In-place bit-reversal permutation of a (re, im) plane pair — the plane
-/// mirror of [`bit_reverse_permute`], used by the SoA split-radix leaves
-/// (tiny, cache-resident sub-transforms where blocking buys nothing).
+/// mirror of [`bit_reverse_permute`] (unblocked: for small, cache-resident
+/// plane pairs).
 pub fn bit_reverse_permute_planes(re: &mut [f64], im: &mut [f64]) {
     let n = re.len();
     assert_eq!(n, im.len(), "bit_reverse_permute_planes: length mismatch");

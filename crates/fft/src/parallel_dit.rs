@@ -368,11 +368,16 @@ impl ParallelDitPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{FftPlan, Layout, Pow2Kernel};
+    use crate::planner::{FftPlan, FftSpec, Layout, Pow2Kernel, Strategy};
     use ftfft_numeric::uniform_signal;
 
     fn serial_radix2(n: usize, dir: Direction, x: &[Complex64]) -> Vec<Complex64> {
-        let plan = FftPlan::new_with_kernel_layout(n, dir, Pow2Kernel::Radix2, Layout::Aos);
+        let plan = FftPlan::from_spec(
+            &FftSpec::new(n, dir)
+                .with_kernel(Pow2Kernel::Radix2)
+                .with_layout(Layout::Aos)
+                .with_strategy(Strategy::Serial),
+        );
         let mut dst = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
         plan.execute(x, &mut dst, &mut scratch);

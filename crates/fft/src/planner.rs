@@ -21,11 +21,9 @@ use crate::mixed::MixedPlan;
 use crate::parallel_dit::{resolve_threads, ParallelDitPlan};
 use crate::radix2::fft_radix2_inplace;
 use crate::radix4::fft_radix4_inplace;
-use crate::soa::{fft_radix2_soa, fft_radix4_soa, fft_split_radix_soa};
-use crate::split_radix::{fft_split_radix, fft_split_radix_inplace, LEAF_LEN};
-use crate::twiddle_table::{
-    SoaRadix2Twiddles, SoaRadix4Twiddles, SoaSplitRadixTwiddles, TwiddleTable,
-};
+use crate::soa::{fft_radix2_soa, fft_radix4_soa};
+use crate::split_radix::{fft_split_radix, fft_split_radix_inplace};
+use crate::twiddle_table::{SoaRadix2Twiddles, SoaRadix4Twiddles, TwiddleTable};
 use ftfft_numeric::simd;
 use ftfft_numeric::Complex64;
 
@@ -235,16 +233,10 @@ impl Layout {
     }
 
     /// The layout the planner will use for `kernel` at a power-of-two size
-    /// `n`: [`Layout::env_or_forced`] when set, then the heuristic.
+    /// `n`: [`Layout::Aos`] for a kernel with no SoA engine (split-radix),
+    /// else [`Layout::env_or_forced`] when set, then the heuristic.
     pub fn choose(kernel: Pow2Kernel, n: usize) -> Layout {
-        // The recursive split-radix kernel loses over planes at *every*
-        // measured size (its strided leaf gathers and conjugate-pair index
-        // wraps defeat the plane kernels), so it is pinned AoS here — even
-        // under forcing or the env override — and not just in the
-        // heuristic: the planner must never select a cell that loses to
-        // its sibling. `new_with_kernel_layout` and an explicit
-        // [`FftSpec::layout`] stay un-pinned as the A/B primitives.
-        if kernel == Pow2Kernel::SplitRadix {
+        if !kernel.has_soa_engine() {
             return Layout::Aos;
         }
         Layout::env_or_forced().unwrap_or_else(|| Layout::heuristic(kernel, n))
@@ -377,6 +369,15 @@ impl Pow2Kernel {
     pub fn choose(n: usize) -> Pow2Kernel {
         Pow2Kernel::env_override().unwrap_or_else(|| Pow2Kernel::heuristic(n))
     }
+
+    /// Whether this kernel has a split-complex (SoA) engine. The recursive
+    /// split-radix kernel does not: its strided leaf gathers and
+    /// conjugate-pair index wraps defeat the plane kernels (a plane mirror
+    /// measured 0.68–1.10× its AoS sibling), so every split-radix layout
+    /// resolves AoS.
+    fn has_soa_engine(self) -> bool {
+        self != Pow2Kernel::SplitRadix
+    }
 }
 
 /// A canonical, hashable description of one FFT plan: size and direction
@@ -398,9 +399,8 @@ pub struct FftSpec {
     /// size heuristic.
     pub kernel: Option<Pow2Kernel>,
     /// Data layout; `None` defers to `force_layout`/`FTFFT_LAYOUT`, then
-    /// the size heuristic. An explicit layout is honored verbatim (the
-    /// A/B primitive), including split-radix SoA, which the env and
-    /// heuristic tiers pin away from.
+    /// the size heuristic. Split-radix has no SoA engine, so resolution
+    /// sets its layout to [`Layout::Aos`] whichever tier chose it.
     pub layout: Option<Layout>,
     /// Execution strategy; `None` defers to
     /// `force_strategy`/`FTFFT_STRATEGY`, then [`Strategy::Auto`].
@@ -460,11 +460,11 @@ impl FftSpec {
     /// Full resolution: [`FftSpec::from_env_overrides`], then the planner
     /// heuristics fill whatever is still unset. The result is canonical —
     /// every knob that matters for the built plan is `Some`, and knobs
-    /// that cannot matter are cleared (`kernel`/`layout` under the
-    /// parallel strategy, all three for non-power-of-two sizes), so equal
-    /// resolved specs build identical plans.
+    /// that cannot matter are cleared or pinned (`kernel`/`layout` under
+    /// the parallel strategy, all three for non-power-of-two sizes, the
+    /// layout of split-radix to AoS), so equal resolved specs build
+    /// identical plans.
     pub fn resolve(self) -> FftSpec {
-        let explicit_layout = self.layout;
         let mut s = self.from_env_overrides();
         if !is_power_of_two(s.n) {
             s.kernel = None;
@@ -487,14 +487,10 @@ impl FftSpec {
         }
         let kernel = s.kernel.unwrap_or_else(|| Pow2Kernel::heuristic_for(s.n, s.layout));
         s.kernel = Some(kernel);
-        s.layout = Some(match explicit_layout {
-            // The builder tier is the A/B primitive: honored verbatim,
-            // even split-radix SoA.
-            Some(layout) => layout,
-            // Env/forced/heuristic tiers go through `Layout::choose`,
-            // which pins split-radix AoS ahead of them (the planner must
-            // never select a cell that loses to its sibling).
-            None => Layout::choose(kernel, s.n),
+        s.layout = Some(if kernel.has_soa_engine() {
+            s.layout.unwrap_or_else(|| Layout::heuristic(kernel, s.n))
+        } else {
+            Layout::Aos
         });
         s
     }
@@ -507,7 +503,6 @@ enum Kernel {
     SplitRadix(TwiddleTable),
     Radix2Soa(SoaRadix2Twiddles),
     Radix4Soa(SoaRadix4Twiddles),
-    SplitRadixSoa(SoaSplitRadixTwiddles),
     Mixed(MixedPlan),
     Bluestein(BluesteinPlan),
     ParallelDit(ParallelDitPlan),
@@ -525,8 +520,7 @@ impl FftPlan {
     /// Plans the transform described by `spec`: unset knobs are filled
     /// from the `FTFFT_*` environment and the planner heuristics by
     /// [`FftSpec::resolve`] — exactly once, here — then the plan is built
-    /// with every choice pinned. This is the primary constructor; the
-    /// legacy constructor zoo forwards here as thin wrappers.
+    /// with every choice pinned. This is the primary constructor.
     ///
     /// # Panics
     /// Panics if `spec.n == 0`, or if an explicit kernel/layout is pinned
@@ -543,7 +537,9 @@ impl FftPlan {
         let r = spec.resolve();
         if is_power_of_two(r.n) {
             if r.strategy == Some(Strategy::Parallel) {
-                return Self::new_parallel(r.n, r.dir, r.threads.unwrap_or(1));
+                let threads = r.threads.unwrap_or(1);
+                let kernel = Kernel::ParallelDit(ParallelDitPlan::new(r.n, r.dir, threads));
+                return FftPlan { n: r.n, dir: r.dir, kernel };
             }
             Self::new_with_kernel_layout(
                 r.n,
@@ -572,58 +568,21 @@ impl FftPlan {
         Self::from_spec(&FftSpec::new(n, dir))
     }
 
-    /// Legacy wrapper: an explicit kernel with everything else resolved,
-    /// pinned serial. Prefer [`FftPlan::from_spec`] with
-    /// [`FftSpec::with_kernel`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_with_kernel(n: usize, dir: Direction, kernel: Pow2Kernel) -> Self {
-        assert!(is_power_of_two(n), "explicit kernel {kernel:?} needs a power of two, got {n}");
-        Self::from_spec(&FftSpec::new(n, dir).with_kernel(kernel).with_strategy(Strategy::Serial))
-    }
-
-    /// Plans a power-of-two transform on the two-halves parallel DIT with
-    /// an explicit worker count (bypassing the strategy heuristic and the
-    /// `FTFFT_STRATEGY`/`FTFFT_THREADS` overrides) — the A/B primitive the
-    /// worker-count property tests use. `threads == 1` selects the
-    /// spawn-free inline path. Prefer [`FftPlan::from_spec`] with
-    /// [`FftSpec::with_strategy`] + [`FftSpec::with_threads`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_parallel(n: usize, dir: Direction, threads: usize) -> Self {
-        FftPlan { n, dir, kernel: Kernel::ParallelDit(ParallelDitPlan::new(n, dir, threads)) }
-    }
-
-    /// Plans a power-of-two transform with an explicit kernel *and*
-    /// layout (bypassing every heuristic and override) — the A/B primitive
-    /// the property tests and the perf harness use. Prefer
-    /// [`FftPlan::from_spec`] with [`FftSpec::with_kernel`] +
-    /// [`FftSpec::with_layout`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_with_kernel_layout(
+    /// Builds a serial power-of-two plan for a resolved `(kernel, layout)`
+    /// pair (split-radix is always AoS after [`FftSpec::resolve`]).
+    fn new_with_kernel_layout(
         n: usize,
         dir: Direction,
         kernel: Pow2Kernel,
         layout: Layout,
     ) -> Self {
-        assert!(is_power_of_two(n), "explicit kernel {kernel:?} needs a power of two, got {n}");
         let table = TwiddleTable::new(n, dir);
         let kernel = match (kernel, layout) {
             (Pow2Kernel::Radix2, Layout::Aos) => Kernel::Radix2(table),
             (Pow2Kernel::Radix4, Layout::Aos) => Kernel::Radix4(table),
-            (Pow2Kernel::SplitRadix, Layout::Aos) => Kernel::SplitRadix(table),
             (Pow2Kernel::Radix2, Layout::Soa) => Kernel::Radix2Soa(SoaRadix2Twiddles::new(&table)),
             (Pow2Kernel::Radix4, Layout::Soa) => Kernel::Radix4Soa(SoaRadix4Twiddles::new(&table)),
-            (Pow2Kernel::SplitRadix, Layout::Soa) => {
-                Kernel::SplitRadixSoa(SoaSplitRadixTwiddles::new(&table, LEAF_LEN))
-            }
+            (Pow2Kernel::SplitRadix, _) => Kernel::SplitRadix(table),
         };
         FftPlan { n, dir, kernel }
     }
@@ -651,7 +610,7 @@ impl FftPlan {
         match &self.kernel {
             Kernel::Radix2(_) | Kernel::Radix2Soa(_) => Pow2Kernel::Radix2.name(),
             Kernel::Radix4(_) | Kernel::Radix4Soa(_) => Pow2Kernel::Radix4.name(),
-            Kernel::SplitRadix(_) | Kernel::SplitRadixSoa(_) => Pow2Kernel::SplitRadix.name(),
+            Kernel::SplitRadix(_) => Pow2Kernel::SplitRadix.name(),
             Kernel::Mixed(_) => "mixed",
             Kernel::Bluestein(_) => "bluestein",
             Kernel::ParallelDit(_) => "parallel-dit",
@@ -671,7 +630,7 @@ impl FftPlan {
     /// always [`Layout::Aos`]).
     pub fn layout(&self) -> Layout {
         match &self.kernel {
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => Layout::Soa,
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => Layout::Soa,
             _ => Layout::Aos,
         }
     }
@@ -695,7 +654,7 @@ impl FftPlan {
             Kernel::SplitRadix(_) => self.n,
             // SoA kernels stage through two plane pairs carved from
             // ordinary complex scratch (n complex = one n-long plane pair).
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => 2 * self.n,
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => 2 * self.n,
             // Mixed and Bluestein stage an input copy for in-place runs.
             Kernel::Mixed(p) => self.n + p.scratch_len(),
             Kernel::Bluestein(p) => self.n + p.scratch_len(),
@@ -711,7 +670,7 @@ impl FftPlan {
             Kernel::Radix2(t) => fft_radix2_inplace(data, t),
             Kernel::Radix4(t) => fft_radix4_inplace(data, t),
             Kernel::SplitRadix(t) => fft_split_radix_inplace(data, t, scratch),
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => {
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
                 let n = self.n;
                 let (a, b) = scratch[..2 * n].split_at_mut(n);
                 let (a_re, a_im) = simd::planes_mut(a);
@@ -748,7 +707,7 @@ impl FftPlan {
                 fft_radix4_inplace(dst, t);
             }
             Kernel::SplitRadix(t) => fft_split_radix(src, dst, t),
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => {
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
                 let n = self.n;
                 let (a, b) = scratch[..2 * n].split_at_mut(n);
                 let (a_re, a_im) = simd::planes_mut(a);
@@ -781,7 +740,6 @@ impl FftPlan {
         match &self.kernel {
             Kernel::Radix2Soa(tw) => fft_radix2_soa(src_re, src_im, dst_re, dst_im, tw),
             Kernel::Radix4Soa(tw) => fft_radix4_soa(src_re, src_im, dst_re, dst_im, tw),
-            Kernel::SplitRadixSoa(tw) => fft_split_radix_soa(src_re, src_im, dst_re, dst_im, tw),
             _ => panic!(
                 "execute_split needs an SoA-layout plan (this one is {})",
                 self.layout_name()
@@ -900,6 +858,26 @@ mod tests {
     use crate::naive::dft_naive;
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
+    /// A forward serial plan with the kernel and layout pinned.
+    fn pinned(n: usize, kernel: Pow2Kernel, layout: Layout) -> FftPlan {
+        FftPlan::from_spec(
+            &FftSpec::new(n, Direction::Forward)
+                .with_kernel(kernel)
+                .with_layout(layout)
+                .with_strategy(Strategy::Serial),
+        )
+    }
+
+    /// A forward serial plan with the kernel pinned and the layout left to
+    /// the env/heuristic tiers.
+    fn pinned_kernel(n: usize, kernel: Pow2Kernel) -> FftPlan {
+        FftPlan::from_spec(
+            &FftSpec::new(n, Direction::Forward)
+                .with_kernel(kernel)
+                .with_strategy(Strategy::Serial),
+        )
+    }
+
     #[test]
     fn plan_dispatch_matches_naive_for_all_kernel_classes() {
         // radix-2, smooth mixed, bluestein (large prime).
@@ -944,7 +922,7 @@ mod tests {
         for kernel in Pow2Kernel::ALL {
             for n in [2usize, 16, 128, 1024] {
                 let x = uniform_signal(n, n as u64);
-                let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+                let plan = pinned_kernel(n, kernel);
                 assert_eq!(plan.kernel_name(), kernel.name());
                 let mut dst = vec![Complex64::ZERO; n];
                 let mut s = vec![Complex64::ZERO; plan.scratch_len()];
@@ -1020,10 +998,11 @@ mod tests {
                 let x = uniform_signal(n, n as u64 + 9);
                 let mut outs = Vec::new();
                 for layout in Layout::ALL {
-                    let plan =
-                        FftPlan::new_with_kernel_layout(n, Direction::Forward, kernel, layout);
-                    assert_eq!(plan.layout(), layout);
-                    assert_eq!(plan.supports_split(), layout == Layout::Soa);
+                    let plan = pinned(n, kernel, layout);
+                    // Split-radix has no SoA engine: both pins build AoS.
+                    let want = if kernel == Pow2Kernel::SplitRadix { Layout::Aos } else { layout };
+                    assert_eq!(plan.layout(), want);
+                    assert_eq!(plan.supports_split(), want == Layout::Soa);
                     assert_eq!(plan.kernel_name(), kernel.name());
                     let mut dst = vec![Complex64::ZERO; n];
                     let mut s = vec![Complex64::ZERO; plan.scratch_len()];
@@ -1042,8 +1021,7 @@ mod tests {
     fn execute_split_skips_boundary_conversion() {
         let n = 1 << 9;
         let x = uniform_signal(n, 31);
-        let plan =
-            FftPlan::new_with_kernel_layout(n, Direction::Forward, Pow2Kernel::Radix4, Layout::Soa);
+        let plan = pinned(n, Pow2Kernel::Radix4, Layout::Soa);
         let mut want = vec![Complex64::ZERO; n];
         let mut s = vec![Complex64::ZERO; plan.scratch_len()];
         plan.execute(&x, &mut want, &mut s);
@@ -1061,12 +1039,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "execute_split needs an SoA-layout plan")]
     fn execute_split_rejects_aos_plans() {
-        let plan = FftPlan::new_with_kernel_layout(
-            16,
-            Direction::Forward,
-            Pow2Kernel::Radix2,
-            Layout::Aos,
-        );
+        let plan = pinned(16, Pow2Kernel::Radix2, Layout::Aos);
         let re = vec![0.0; 16];
         let im = vec![0.0; 16];
         let mut dre = vec![0.0; 16];
@@ -1115,13 +1088,16 @@ mod tests {
     fn parallel_plan_dispatches_and_matches_serial_radix2() {
         let n = 1 << 10;
         let x = uniform_signal(n, 5);
-        let serial =
-            FftPlan::new_with_kernel_layout(n, Direction::Forward, Pow2Kernel::Radix2, Layout::Aos);
+        let serial = pinned(n, Pow2Kernel::Radix2, Layout::Aos);
         let mut want = vec![Complex64::ZERO; n];
         let mut s = vec![Complex64::ZERO; serial.scratch_len()];
         serial.execute(&x, &mut want, &mut s);
         for threads in [1usize, 4] {
-            let plan = FftPlan::new_parallel(n, Direction::Forward, threads);
+            let plan = FftPlan::from_spec(
+                &FftSpec::new(n, Direction::Forward)
+                    .with_strategy(Strategy::Parallel)
+                    .with_threads(threads),
+            );
             assert_eq!(plan.kernel_name(), "parallel-dit");
             assert_eq!(plan.layout(), Layout::Aos);
             assert!(!plan.supports_split());
@@ -1189,29 +1165,23 @@ mod tests {
     }
 
     #[test]
-    fn from_spec_matches_legacy_constructors() {
-        let n = 1 << 10;
-        let x = uniform_signal(n, 77);
-        let via_spec = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
+    fn split_radix_layouts_resolve_to_one_aos_plan() {
+        // Split-radix has no SoA engine, so an explicit SoA pin resolves
+        // exactly like an explicit AoS pin — whatever FTFFT_LAYOUT says.
+        let spec = |layout| {
+            FftSpec::new(1 << 10, Direction::Forward)
                 .with_kernel(Pow2Kernel::SplitRadix)
-                .with_strategy(Strategy::Serial),
-        );
-        let legacy = FftPlan::new_with_kernel(n, Direction::Forward, Pow2Kernel::SplitRadix);
-        assert_eq!(via_spec.kernel_name(), legacy.kernel_name());
-        assert_eq!(via_spec.layout(), legacy.layout());
-        let mut a = vec![Complex64::ZERO; n];
-        let mut b = vec![Complex64::ZERO; n];
-        let mut s = vec![Complex64::ZERO; via_spec.scratch_len().max(legacy.scratch_len())];
-        via_spec.execute(&x, &mut a, &mut s);
-        legacy.execute(&x, &mut b, &mut s);
-        assert_eq!(a, b);
-
-        let par_spec = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward).with_strategy(Strategy::Parallel).with_threads(3),
-        );
-        assert_eq!(par_spec.kernel_name(), "parallel-dit");
-        assert_eq!(par_spec.strategy_threads(), Some(3));
+                .with_layout(layout)
+                .with_strategy(Strategy::Serial)
+        };
+        let (soa, aos) = (spec(Layout::Soa).resolve(), spec(Layout::Aos).resolve());
+        assert_eq!(soa, aos);
+        assert_eq!(soa.layout, Some(Layout::Aos));
+        let (a, b) =
+            (FftPlan::from_spec(&spec(Layout::Soa)), FftPlan::from_spec(&spec(Layout::Aos)));
+        assert_eq!(a.kernel_name(), b.kernel_name());
+        assert_eq!(a.layout(), b.layout());
+        assert_eq!(a.layout(), Layout::Aos);
     }
 
     #[test]
@@ -1251,7 +1221,7 @@ mod tests {
         for kernel in Pow2Kernel::ALL {
             let n = 256;
             let batch = 5;
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = pinned_kernel(n, kernel);
             let src = uniform_signal(n * batch, 11);
             let mut s = vec![Complex64::ZERO; plan.scratch_len()];
 

@@ -289,8 +289,9 @@ mod tests {
         }
         for n in (2..=1 << 12).step_by(2) {
             let h = n / 2;
-            let z: Vec<Complex64> =
-                (0..h).map(|t| c64((t as f64 * 0.73).sin(), (t as f64 * 1.9).cos() - 0.2)).collect();
+            let z: Vec<Complex64> = (0..h)
+                .map(|t| c64((t as f64 * 0.73).sin(), (t as f64 * 1.9).cos() - 0.2))
+                .collect();
             let w = split_twiddles(n, Direction::Forward);
             let (mut got, mut want) = (vec![Complex64::ZERO; h + 1], vec![Complex64::ZERO; h + 1]);
             unpack_spectrum(&z, &w, &mut got);

@@ -1,21 +1,28 @@
-//! Split-complex (SoA) execution drivers for the power-of-two kernels.
+//! Split-complex (SoA) execution drivers for the iterative power-of-two
+//! kernels.
 //!
-//! Every stage of the AoS kernels ([`crate::radix2`], [`crate::radix4`],
-//! [`crate::split_radix`]) walks interleaved `Complex64` data, which caps
-//! AVX at two complex elements per 256-bit register and forces
-//! shuffle-heavy complex products. The drivers here run the *same*
-//! butterfly schedules over separate `re[]`/`im[]` planes, so the
-//! [`ftfft_numeric::simd`] plane kernels touch **four** complex elements
-//! per instruction with no shuffles — across every stage, not just the
-//! final one.
+//! Every stage of the AoS kernels ([`crate::radix2`], [`crate::radix4`])
+//! walks interleaved `Complex64` data, which caps AVX at two complex
+//! elements per 256-bit register and forces shuffle-heavy complex
+//! products. The drivers here run the *same* butterfly schedules over
+//! separate `re[]`/`im[]` planes, so the [`ftfft_numeric::simd`] plane
+//! kernels touch **four** complex elements per instruction with no
+//! shuffles — across every stage, not just the final one.
+//!
+//! The recursive split-radix kernel ([`crate::split_radix`]) has no SoA
+//! engine: its strided leaf gathers and conjugate-pair index wraps defeat
+//! the plane kernels (a plane mirror measured 0.68–1.10× its AoS sibling),
+//! so [`crate::FftSpec::resolve`] resolves every split-radix layout to
+//! [`crate::Layout::Aos`].
 //!
 //! **Bitwise contract.** Each driver performs element-for-element the
 //! identical arithmetic of its AoS mirror: the same butterfly order, the
 //! same separately-rounded operator products in generic stages, the same
 //! fused products where the AoS kernel dispatches its SIMD final stage, and
 //! twiddle factors copied verbatim into the stage packs
-//! ([`crate::twiddle_table::SoaRadix2Twiddles`] et al.). A transform run
-//! SoA therefore equals the AoS run *bit for bit*, at either SIMD dispatch
+//! ([`crate::twiddle_table::SoaRadix2Twiddles`],
+//! [`crate::twiddle_table::SoaRadix4Twiddles`]). A transform run SoA
+//! therefore equals the AoS run *bit for bit*, at either SIMD dispatch
 //! level — which is what lets the planner flip layouts per size without
 //! disturbing a single checksum, threshold, or fault signature.
 //!
@@ -24,9 +31,8 @@
 //! ([`crate::bitrev::bit_reverse_copy_f64`], COBRA tiles) so large-`n`
 //! reversals stream cache lines instead of thrashing.
 
-use crate::bitrev::{bit_reverse_copy_f64, bit_reverse_permute_planes};
-use crate::split_radix::LEAF_LEN;
-use crate::twiddle_table::{SoaRadix2Twiddles, SoaRadix4Twiddles, SoaSplitRadixTwiddles};
+use crate::bitrev::bit_reverse_copy_f64;
+use crate::twiddle_table::{SoaRadix2Twiddles, SoaRadix4Twiddles};
 use ftfft_numeric::simd;
 
 /// Quarter/half length below which a stage runs its inline scalar loop
@@ -92,8 +98,7 @@ pub fn fft_radix2_soa(
     }
 }
 
-/// Runs the radix-4 stage schedule in place over bit-reversed planes —
-/// shared by [`fft_radix4_soa`] and the split-radix leaves.
+/// Runs the radix-4 stage schedule in place over bit-reversed planes.
 fn radix4_stages(re: &mut [f64], im: &mut [f64], tw: &SoaRadix4Twiddles) {
     let l = tw.len();
     if l == 1 {
@@ -194,128 +199,12 @@ pub fn fft_radix4_soa(
     radix4_stages(dst_re, dst_im, tw);
 }
 
-/// Out-of-place SoA conjugate-pair split-radix FFT. Bitwise equal to
-/// [`crate::split_radix::fft_split_radix`] on the interleaved equivalent
-/// (same recursion shape, same [`LEAF_LEN`] radix-4 leaves).
-///
-/// # Panics
-/// Panics if the plane lengths disagree with the pack size.
-pub fn fft_split_radix_soa(
-    src_re: &[f64],
-    src_im: &[f64],
-    dst_re: &mut [f64],
-    dst_im: &mut [f64],
-    tw: &SoaSplitRadixTwiddles,
-) {
-    let n = tw.len();
-    assert!(
-        src_re.len() == n && src_im.len() == n && dst_re.len() == n && dst_im.len() == n,
-        "SoA split-radix: plane length mismatch with pack size {n}"
-    );
-    let s = tw.direction().sign();
-    recurse_soa(src_re, src_im, n - 1, 0, 1, dst_re, dst_im, tw, s);
-}
-
-/// Plane mirror of the AoS split-radix recursion: `dst = DFT(f)` for
-/// `f(m) = src[(off + m·stride) & mask]`.
-#[allow(clippy::too_many_arguments)]
-fn recurse_soa(
-    src_re: &[f64],
-    src_im: &[f64],
-    mask: usize,
-    off: usize,
-    stride: usize,
-    dst_re: &mut [f64],
-    dst_im: &mut [f64],
-    tw: &SoaSplitRadixTwiddles,
-    s: f64,
-) {
-    let len = dst_re.len();
-    match len {
-        1 => {
-            dst_re[0] = src_re[off & mask];
-            dst_im[0] = src_im[off & mask];
-            return;
-        }
-        2 => {
-            let (i0, i1) = (off & mask, (off + stride) & mask);
-            dst_re[0] = src_re[i0] + src_re[i1];
-            dst_im[0] = src_im[i0] + src_im[i1];
-            dst_re[1] = src_re[i0] - src_re[i1];
-            dst_im[1] = src_im[i0] - src_im[i1];
-            return;
-        }
-        _ => {}
-    }
-    if len <= LEAF_LEN {
-        // Gather the strided sub-sequence into the destination planes and
-        // run the iterative radix-4 schedule — the exact leaf the AoS
-        // recursion takes (`fft_radix4_strided_table` = permute + stages).
-        for m in 0..len {
-            let i = (off + m * stride) & mask;
-            dst_re[m] = src_re[i];
-            dst_im[m] = src_im[i];
-        }
-        bit_reverse_permute_planes(dst_re, dst_im);
-        radix4_stages(dst_re, dst_im, tw.leaf(len));
-        return;
-    }
-
-    let quarter = len / 4;
-    let half = len / 2;
-    recurse_soa(
-        src_re,
-        src_im,
-        mask,
-        off,
-        2 * stride,
-        &mut dst_re[..half],
-        &mut dst_im[..half],
-        tw,
-        s,
-    );
-    recurse_soa(
-        src_re,
-        src_im,
-        mask,
-        off + stride,
-        4 * stride,
-        &mut dst_re[half..half + quarter],
-        &mut dst_im[half..half + quarter],
-        tw,
-        s,
-    );
-    recurse_soa(
-        src_re,
-        src_im,
-        mask,
-        off + (mask + 1) - stride,
-        4 * stride,
-        &mut dst_re[half + quarter..],
-        &mut dst_im[half + quarter..],
-        tw,
-        s,
-    );
-
-    let w = tw.combine(len);
-    let (u0_re, rest_re) = dst_re.split_at_mut(quarter);
-    let (u1_re, rest_re) = rest_re.split_at_mut(quarter);
-    let (z_re, z2_re) = rest_re.split_at_mut(quarter);
-    let (u0_im, rest_im) = dst_im.split_at_mut(quarter);
-    let (u1_im, rest_im) = rest_im.split_at_mut(quarter);
-    let (z_im, z2_im) = rest_im.split_at_mut(quarter);
-    simd::split_radix_combine_soa(
-        s, u0_re, u0_im, u1_re, u1_im, z_re, z_im, z2_re, z2_im, &w.re, &w.im,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::direction::Direction;
     use crate::radix2::fft_radix2_inplace;
     use crate::radix4::fft_radix4_inplace;
-    use crate::split_radix::fft_split_radix;
     use crate::twiddle_table::TwiddleTable;
     use ftfft_numeric::{uniform_signal, Complex64};
 
@@ -363,25 +252,6 @@ mod tests {
                 let mut dim = vec![0.0; n];
                 fft_radix4_soa(&sre, &sim, &mut dre, &mut dim, &pack);
                 assert_planes_eq(&dre, &dim, &want, &format!("radix4 {dir:?} n={n}"));
-            }
-        }
-    }
-
-    #[test]
-    fn soa_split_radix_bitwise_equals_aos_across_leaf_cutoff() {
-        for dir in [Direction::Forward, Direction::Inverse] {
-            for log2n in 0..=12 {
-                let n = 1usize << log2n;
-                let x = uniform_signal(n, 400 + log2n as u64);
-                let table = TwiddleTable::new(n, dir);
-                let mut want = vec![Complex64::ZERO; n];
-                fft_split_radix(&x, &mut want, &table);
-                let pack = SoaSplitRadixTwiddles::new(&table, LEAF_LEN);
-                let (sre, sim) = planes_of(&x);
-                let mut dre = vec![0.0; n];
-                let mut dim = vec![0.0; n];
-                fft_split_radix_soa(&sre, &sim, &mut dre, &mut dim, &pack);
-                assert_planes_eq(&dre, &dim, &want, &format!("split-radix {dir:?} n={n}"));
             }
         }
     }

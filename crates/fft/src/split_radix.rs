@@ -22,10 +22,8 @@ use ftfft_numeric::complex::c64;
 use ftfft_numeric::Complex64;
 
 /// Sub-transform size at which the recursion hands off to the iterative
-/// radix-4 kernel (strided gather + contiguous butterflies). Public so the
-/// SoA mirror ([`crate::soa::fft_split_radix_soa`]) bottoms out at exactly
-/// the same sizes — the bitwise SoA == AoS contract depends on it.
-pub const LEAF_LEN: usize = 64;
+/// radix-4 kernel (strided gather + contiguous butterflies).
+const LEAF_LEN: usize = 64;
 
 /// Out-of-place split-radix FFT: `dst = DFT(src)` with
 /// `table.len() == src.len() * table_stride` (`ω_n^t = table[t·table_stride]`).

@@ -199,8 +199,7 @@ pub struct SoaRadix4Stage {
 }
 
 /// Stage-major packed twiddles for the SoA radix-4 kernel of an `l`-point
-/// transform read through a table stride (so one root table also serves
-/// the split-radix leaf sub-transforms).
+/// transform, optionally read through a table stride.
 #[derive(Clone, Debug)]
 pub struct SoaRadix4Twiddles {
     l: usize,
@@ -266,79 +265,6 @@ impl SoaRadix4Twiddles {
     #[inline]
     pub fn stages(&self) -> &[SoaRadix4Stage] {
         &self.stages
-    }
-}
-
-/// Packed twiddles for the SoA conjugate-pair split-radix kernel: one
-/// combine plane pair per recursion size plus radix-4 packs for every
-/// possible leaf size.
-#[derive(Clone, Debug)]
-pub struct SoaSplitRadixTwiddles {
-    n: usize,
-    dir: Direction,
-    /// `combine[log₂ len]` = `ω_n^{k·(n/len)}` for `k < len/4`
-    /// (empty below `len = 4`).
-    combine: Vec<SplitTwiddles>,
-    /// `leaf[log₂ L]` = radix-4 pack for an `L`-point leaf read at stride
-    /// `n/L` (`None` outside `4 ≤ L ≤ leaf_len`).
-    leaf: Vec<Option<SoaRadix4Twiddles>>,
-}
-
-impl SoaSplitRadixTwiddles {
-    /// Packs combine twiddles for every recursion size of an `n`-point
-    /// transform and radix-4 leaf packs for sizes up to `leaf_len`
-    /// (the driver's recursion cutoff).
-    pub fn new(table: &TwiddleTable, leaf_len: usize) -> Self {
-        let n = table.len();
-        assert!(n.is_power_of_two(), "SoA split-radix pack needs a power of two, got {n}");
-        let log2n = n.trailing_zeros() as usize;
-        let mut combine = Vec::with_capacity(log2n + 1);
-        let mut leaf = Vec::with_capacity(log2n + 1);
-        for log2l in 0..=log2n {
-            let l = 1usize << log2l;
-            combine.push(if l >= 4 {
-                SplitTwiddles::gather(table, l / 4, n / l)
-            } else {
-                SplitTwiddles::default()
-            });
-            leaf.push(if (4..=leaf_len).contains(&l) {
-                Some(SoaRadix4Twiddles::with_stride(table, l, n / l))
-            } else {
-                None
-            });
-        }
-        SoaSplitRadixTwiddles { n, dir: table.direction(), combine, leaf }
-    }
-
-    /// Transform size.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never true (`n ≥ 1`).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Direction the pack was generated for.
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.dir
-    }
-
-    /// Combine twiddle planes for recursion size `len`.
-    #[inline]
-    pub fn combine(&self, len: usize) -> &SplitTwiddles {
-        &self.combine[len.trailing_zeros() as usize]
-    }
-
-    /// Radix-4 pack for an `len`-point leaf.
-    #[inline]
-    pub fn leaf(&self, len: usize) -> &SoaRadix4Twiddles {
-        self.leaf[len.trailing_zeros() as usize]
-            .as_ref()
-            .expect("no leaf pack for this size — larger than the pack's leaf_len?")
     }
 }
 
@@ -417,24 +343,6 @@ mod tests {
                 assert_eq!(stage.w3.re[j], t.get(3 * j * e).re, "len={len} j={j}");
             }
             len *= 4;
-        }
-    }
-
-    #[test]
-    fn soa_split_radix_pack_has_combine_and_leaf_entries() {
-        let n = 512;
-        let t = TwiddleTable::new(n, Direction::Forward);
-        let p = SoaSplitRadixTwiddles::new(&t, 64);
-        for len in [128usize, 256, 512] {
-            let c = p.combine(len);
-            assert_eq!(c.len(), len / 4);
-            for k in 0..len / 4 {
-                let w = t.get(k * (n / len));
-                assert_eq!((c.re[k], c.im[k]), (w.re, w.im), "len={len} k={k}");
-            }
-        }
-        for l in [4usize, 8, 16, 32, 64] {
-            assert_eq!(p.leaf(l).len(), l);
         }
     }
 

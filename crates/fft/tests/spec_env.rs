@@ -102,13 +102,14 @@ fn env_tier_precedence_through_resolve() {
         assert_eq!(spec().resolve().layout, Some(Layout::Soa));
     });
 
-    // The builder tier is the A/B primitive: split-radix SoA is honored
-    // verbatim even though both the env and heuristic tiers pin
-    // split-radix away from SoA.
-    with_env(&[(LAYOUT_ENV, "aos")], || {
+    // Split-radix has no SoA engine: an SoA layout from any tier —
+    // explicit builder or env — resolves AoS.
+    with_env(&[(LAYOUT_ENV, "soa")], || {
         let r = spec().with_kernel(Pow2Kernel::SplitRadix).with_layout(Layout::Soa).resolve();
         assert_eq!(r.kernel, Some(Pow2Kernel::SplitRadix));
-        assert_eq!(r.layout, Some(Layout::Soa));
+        assert_eq!(r.layout, Some(Layout::Aos));
+        let r = spec().with_kernel(Pow2Kernel::SplitRadix).resolve();
+        assert_eq!(r.layout, Some(Layout::Aos));
     });
 }
 

@@ -53,8 +53,8 @@ pub use ftfft_stream as stream;
 pub mod prelude {
     pub use ftfft_checksum::{crc32, crc32_f64s, Crc32};
     pub use ftfft_core::{
-        BatchWorkspace, FtConfig, FtFftPlan, FtReport, FusedPolicy, InPlaceFtPlan, PlanSpec,
-        PlanSpecBuilder, RealFtFftPlan, RealWorkspace, Scheme, Workspace,
+        BatchWorkspace, FtConfig, FtFftPlan, FtReport, InPlaceFtPlan, PlanSpec, PlanSpecBuilder,
+        RealFtFftPlan, RealWorkspace, Scheme, Workspace,
     };
     pub use ftfft_fault::{
         ByteFaultInjector, ByteFaultKind, ByteRegion, Component, FaultInjector, FaultKind,

@@ -261,55 +261,6 @@ mod scalar {
         }
     }
 
-    /// Split-complex conjugate-pair combine over four quarter segments —
-    /// the elementwise mirror of the AoS split-radix combine loop
-    /// (`zp = z·w`, `zm = z'·conj(w)`, sum/diff, `s·i` rotation).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn sr_combine_soa(
-        s: f64,
-        u0_re: &mut [f64],
-        u0_im: &mut [f64],
-        u1_re: &mut [f64],
-        u1_im: &mut [f64],
-        z_re: &mut [f64],
-        z_im: &mut [f64],
-        z2_re: &mut [f64],
-        z2_im: &mut [f64],
-        w_re: &[f64],
-        w_im: &[f64],
-    ) {
-        for k in 0..u0_re.len() {
-            let wr = w_re[k];
-            let wi = w_im[k];
-            let zpr = z_re[k] * wr - z_im[k] * wi;
-            let zpi = z_re[k] * wi + z_im[k] * wr;
-            // z'·conj(w) written exactly as the AoS kernel's
-            // `dst[..] * w.conj()` expands.
-            let wci = -wi;
-            let zmr = z2_re[k] * wr - z2_im[k] * wci;
-            let zmi = z2_re[k] * wci + z2_im[k] * wr;
-            let sr = zpr + zmr;
-            let si = zpi + zmi;
-            let dr = zpr - zmr;
-            let di = zpi - zmi;
-            let rdr = -s * di;
-            let rdi = s * dr;
-            let ur = u0_re[k];
-            let ui = u0_im[k];
-            let vr = u1_re[k];
-            let vi = u1_im[k];
-            u0_re[k] = ur + sr;
-            u0_im[k] = ui + si;
-            z_re[k] = ur - sr;
-            z_im[k] = ui - si;
-            u1_re[k] = vr + rdr;
-            u1_im[k] = vi + rdi;
-            z2_re[k] = vr - rdr;
-            z2_im[k] = vi - rdi;
-        }
-    }
-
     /// Two-lane accumulation step shared by `dot` and `DotAcc`: folds an
     /// *even-length* prefix, then at most one tail element into lane 0.
     #[inline]
@@ -782,81 +733,6 @@ mod avx {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx,fma")]
-    pub unsafe fn sr_combine_soa(
-        s: f64,
-        u0_re: &mut [f64],
-        u0_im: &mut [f64],
-        u1_re: &mut [f64],
-        u1_im: &mut [f64],
-        z_re: &mut [f64],
-        z_im: &mut [f64],
-        z2_re: &mut [f64],
-        z2_im: &mut [f64],
-        w_re: &[f64],
-        w_im: &[f64],
-    ) {
-        let n = u0_re.len();
-        let quads = n / 4;
-        let sneg = _mm256_set1_pd(-s);
-        let spos = _mm256_set1_pd(s);
-        let negmask = _mm256_set1_pd(-0.0);
-        for q in 0..quads {
-            let o = 4 * q;
-            let wr = _mm256_loadu_pd(w_re.as_ptr().add(o));
-            let wi = _mm256_loadu_pd(w_im.as_ptr().add(o));
-            let (zpr, zpi) = cmul_soa(
-                _mm256_loadu_pd(z_re.as_ptr().add(o)),
-                _mm256_loadu_pd(z_im.as_ptr().add(o)),
-                wr,
-                wi,
-            );
-            // conj(w): exact sign flip of the imaginary plane.
-            let wci = _mm256_xor_pd(wi, negmask);
-            let (zmr, zmi) = cmul_soa(
-                _mm256_loadu_pd(z2_re.as_ptr().add(o)),
-                _mm256_loadu_pd(z2_im.as_ptr().add(o)),
-                wr,
-                wci,
-            );
-            let sr = _mm256_add_pd(zpr, zmr);
-            let si = _mm256_add_pd(zpi, zmi);
-            let dr = _mm256_sub_pd(zpr, zmr);
-            let di = _mm256_sub_pd(zpi, zmi);
-            let rdr = _mm256_mul_pd(sneg, di);
-            let rdi = _mm256_mul_pd(spos, dr);
-            let ur = _mm256_loadu_pd(u0_re.as_ptr().add(o));
-            let ui = _mm256_loadu_pd(u0_im.as_ptr().add(o));
-            let vr = _mm256_loadu_pd(u1_re.as_ptr().add(o));
-            let vi = _mm256_loadu_pd(u1_im.as_ptr().add(o));
-            _mm256_storeu_pd(u0_re.as_mut_ptr().add(o), _mm256_add_pd(ur, sr));
-            _mm256_storeu_pd(u0_im.as_mut_ptr().add(o), _mm256_add_pd(ui, si));
-            _mm256_storeu_pd(z_re.as_mut_ptr().add(o), _mm256_sub_pd(ur, sr));
-            _mm256_storeu_pd(z_im.as_mut_ptr().add(o), _mm256_sub_pd(ui, si));
-            _mm256_storeu_pd(u1_re.as_mut_ptr().add(o), _mm256_add_pd(vr, rdr));
-            _mm256_storeu_pd(u1_im.as_mut_ptr().add(o), _mm256_add_pd(vi, rdi));
-            _mm256_storeu_pd(z2_re.as_mut_ptr().add(o), _mm256_sub_pd(vr, rdr));
-            _mm256_storeu_pd(z2_im.as_mut_ptr().add(o), _mm256_sub_pd(vi, rdi));
-        }
-        if quads * 4 < n {
-            let t = quads * 4;
-            super::scalar::sr_combine_soa(
-                s,
-                &mut u0_re[t..],
-                &mut u0_im[t..],
-                &mut u1_re[t..],
-                &mut u1_im[t..],
-                &mut z_re[t..],
-                &mut z_im[t..],
-                &mut z2_re[t..],
-                &mut z2_im[t..],
-                &w_re[t..],
-                &w_im[t..],
-            );
-        }
-    }
-
     #[target_feature(enable = "avx,fma")]
     pub unsafe fn sum3_groups(x: &[Complex64]) -> [Complex64; 3] {
         let mut va = _mm256_setzero_pd();
@@ -1055,41 +931,6 @@ pub fn butterfly4_soa(
     )
 }
 
-/// Split-complex conjugate-pair combine over four quarter plane segments —
-/// the SoA mirror of the AoS split-radix combine loop (`zp = w·z`,
-/// `zm = conj(w)·z'`, sum/diff, `s·i` rotation).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn split_radix_combine_soa(
-    s: f64,
-    u0_re: &mut [f64],
-    u0_im: &mut [f64],
-    u1_re: &mut [f64],
-    u1_im: &mut [f64],
-    z_re: &mut [f64],
-    z_im: &mut [f64],
-    z2_re: &mut [f64],
-    z2_im: &mut [f64],
-    w_re: &[f64],
-    w_im: &[f64],
-) {
-    let n = u0_re.len();
-    assert!(
-        u0_im.len() == n
-            && u1_re.len() == n
-            && u1_im.len() == n
-            && z_re.len() == n
-            && z_im.len() == n
-            && z2_re.len() == n
-            && z2_im.len() == n
-    );
-    debug_assert!(w_re.len() >= n && w_im.len() >= n);
-    dispatch!(
-        s, u0_re, u0_im, u1_re, u1_im, z_re, z_im, z2_re, z2_im, &w_re[..n], &w_im[..n];
-        sr_combine_soa
-    )
-}
-
 /// The ω₃-weighted CCV sum `Σ_j w^j·x_j` for a period-3 weight (`w1 = w¹`,
 /// `w2 = w²`): group sums by `j mod 3`, then two multiplications.
 #[inline]
@@ -1122,26 +963,6 @@ impl DotAcc {
         debug_assert_eq!(x.len(), w.len());
         let lanes = &mut self.lanes;
         dispatch!(lanes, x, w; dot_accumulate)
-    }
-
-    /// Plane-input variant of [`accumulate`](DotAcc::accumulate): folds
-    /// `Σ_j (re_j + i·im_j)·w_j` with the same two-lane structure and
-    /// order, so feeding planes produces a result bitwise equal to feeding
-    /// the interleaved equivalent — at either dispatch level (this fold
-    /// *is* the scalar mirror, which the AVX path matches by contract).
-    #[inline]
-    pub fn accumulate_split(&mut self, re: &[f64], im: &[f64], w: &[Complex64]) {
-        debug_assert_eq!(re.len(), im.len());
-        debug_assert_eq!(re.len(), w.len());
-        let pairs = re.len() / 2;
-        for p in 0..pairs {
-            self.lanes[0] += cmul(c64(re[2 * p], im[2 * p]), w[2 * p]);
-            self.lanes[1] += cmul(c64(re[2 * p + 1], im[2 * p + 1]), w[2 * p + 1]);
-        }
-        if re.len() % 2 == 1 {
-            let last = re.len() - 1;
-            self.lanes[0] += cmul(c64(re[last], im[last]), w[last]);
-        }
     }
 
     /// The accumulated sum (lane 0 + lane 1).
@@ -1475,56 +1296,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn split_radix_combine_soa_matches_aos_combine_bitwise() {
-        for (n, s) in [(1usize, -1.0f64), (3, -1.0), (8, 1.0), (21, -1.0)] {
-            let segs: Vec<Vec<Complex64>> = (0..4).map(|i| sig(n, 120 + i)).collect();
-            let tw = sig(n, 130);
-            let (wre, wim) = planes_of(&tw);
-            let got = for_each_level(|| {
-                let (mut u0_re, mut u0_im) = planes_of(&segs[0]);
-                let (mut u1_re, mut u1_im) = planes_of(&segs[1]);
-                let (mut z_re, mut z_im) = planes_of(&segs[2]);
-                let (mut z2_re, mut z2_im) = planes_of(&segs[3]);
-                split_radix_combine_soa(
-                    s, &mut u0_re, &mut u0_im, &mut u1_re, &mut u1_im, &mut z_re, &mut z_im,
-                    &mut z2_re, &mut z2_im, &wre, &wim,
-                );
-                vec![(u0_re, u0_im), (u1_re, u1_im), (z_re, z_im), (z2_re, z2_im)]
-            });
-            for k in 0..n {
-                let w = tw[k];
-                let zp = segs[2][k] * w;
-                let zm = segs[3][k] * w.conj();
-                let sum = zp + zm;
-                let diff = zp - zm;
-                let diff = c64(-s * diff.im, s * diff.re);
-                let u0 = segs[0][k];
-                let u1 = segs[1][k];
-                let want = [u0 + sum, u1 + diff, u0 - sum, u1 - diff];
-                for (seg, w) in got.iter().zip(want) {
-                    assert_eq!((seg.0[k], seg.1[k]), (w.re, w.im), "n={n} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_split_equals_interleaved_accumulate_bitwise() {
-        let n = 101;
-        let x = sig(n, 140);
-        let w = sig(n, 141);
-        let (re, im) = planes_of(&x);
-        let whole = for_each_level(|| dot(&x, &w));
-        let split = for_each_level(|| {
-            let mut acc = DotAcc::new();
-            acc.accumulate_split(&re[..64], &im[..64], &w[..64]);
-            acc.accumulate_split(&re[64..], &im[64..], &w[64..]);
-            acc.finish()
-        });
-        assert_eq!(whole, split);
     }
 
     #[test]

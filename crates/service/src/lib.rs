@@ -41,10 +41,3 @@ pub mod telemetry;
 pub use cache::PlanCache;
 pub use queue::{FftService, RequestError, ServiceConfig, ServiceResponse, ServiceStats, Ticket};
 pub use telemetry::{LatencyHistogram, LatencySummary, TenantStats};
-
-/// Former home of the histogram types, kept so pre-PR-9 paths resolve.
-/// Use [`ftfft_obs`] (or the re-exports above) in new code.
-#[doc(hidden)]
-pub mod histogram {
-    pub use ftfft_obs::{LatencyHistogram, LatencySummary};
-}

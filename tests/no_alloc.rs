@@ -47,9 +47,9 @@ fn serialized() -> std::sync::MutexGuard<'static, ()> {
     // builds: the no-allocation contract covers the serial schedule,
     // while the multi-worker parallel DIT spawns scoped threads per
     // execute by design (a forced `FTFFT_STRATEGY=parallel` CI leg
-    // would otherwise route these plans through it). The explicit
-    // `FftPlan::new_parallel(_, _, 1)` test below bypasses the planner
-    // heuristic, so it is unaffected by this pin.
+    // would otherwise route these plans through it). The parallel-DIT
+    // test below pins `Strategy::Parallel` in its own spec, and an
+    // explicit spec knob beats this forced tier.
     force_strategy(Some(Strategy::Serial));
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -126,7 +126,9 @@ fn parallel_plan_single_worker_path_is_allocation_free() {
     // spawn scoped threads per execute (which allocate stacks by design)
     // and are deliberately outside this assertion.
     let n = 1 << 12;
-    let plan = FftPlan::new_parallel(n, Direction::Forward, 1);
+    let plan = FftPlan::from_spec(
+        &FftSpec::new(n, Direction::Forward).with_strategy(Strategy::Parallel).with_threads(1),
+    );
     let x = uniform_signal(n, 13);
     let mut dst = vec![Complex64::ZERO; n];
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
@@ -154,11 +156,17 @@ fn soa_layout_plans_are_allocation_free() {
     let _serial = serialized();
     // Plain plans pinned to the split-complex engine: the deinterleave /
     // bit-reversal planes are carved from the caller's complex scratch,
-    // so repeated executes must allocate nothing.
+    // so repeated executes must allocate nothing. Split-radix has no SoA
+    // engine, so its SoA pin builds (and here checks) the AoS plan.
     for kernel in Pow2Kernel::ALL {
         let n = 1 << 10;
-        let plan = FftPlan::new_with_kernel_layout(n, Direction::Forward, kernel, DataLayout::Soa);
-        assert!(plan.supports_split());
+        let plan = FftPlan::from_spec(
+            &FftSpec::new(n, Direction::Forward)
+                .with_kernel(kernel)
+                .with_layout(DataLayout::Soa)
+                .with_strategy(Strategy::Serial),
+        );
+        assert_eq!(plan.supports_split(), kernel != Pow2Kernel::SplitRadix);
         let x = uniform_signal(n, 11);
         let mut dst = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];

@@ -10,6 +10,8 @@ use ftfft::fft::strided::gather;
 use ftfft::fft::Strategy as FftStrategy;
 use ftfft::numeric::simd;
 use ftfft::prelude::*;
+use ftfft::stream::pipeline::report::SyncStats;
+use ftfft::stream::{encode_stream, FrameSync};
 use proptest::prelude::*;
 use proptest::Strategy;
 
@@ -19,6 +21,31 @@ fn arb_signal(max_log2: u32) -> impl proptest::Strategy<Value = Vec<Complex64>> 
         (prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), n))
             .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
     })
+}
+
+/// A serial plan with the kernel pinned and the layout left to the
+/// env/heuristic tiers.
+fn kernel_plan(n: usize, kernel: Pow2Kernel) -> FftPlan {
+    FftPlan::from_spec(
+        &FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_strategy(FftStrategy::Serial),
+    )
+}
+
+/// A serial plan with the kernel and layout pinned.
+fn pinned_plan(n: usize, dir: Direction, kernel: Pow2Kernel, layout: Layout) -> FftPlan {
+    FftPlan::from_spec(
+        &FftSpec::new(n, dir)
+            .with_kernel(kernel)
+            .with_layout(layout)
+            .with_strategy(FftStrategy::Serial),
+    )
+}
+
+/// The two-halves parallel DIT at an explicit worker count.
+fn parallel_plan(n: usize, dir: Direction, threads: usize) -> FftPlan {
+    FftPlan::from_spec(
+        &FftSpec::new(n, dir).with_strategy(FftStrategy::Parallel).with_threads(threads),
+    )
 }
 
 proptest! {
@@ -252,7 +279,7 @@ proptest! {
         let x = dist.generate(n, seed);
         let want = dft_naive(&x, Direction::Forward);
         for kernel in Pow2Kernel::ALL {
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = kernel_plan(n, kernel);
             let mut got = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut got, &mut scratch);
@@ -386,12 +413,12 @@ proptest! {
     fn pow2_kernels_agree_with_radix2(log2n in 1u32..=12, seed in 0u64..1024) {
         let n = 1usize << log2n;
         let x = uniform_signal(n, seed);
-        let r2 = FftPlan::new_with_kernel(n, Direction::Forward, Pow2Kernel::Radix2);
+        let r2 = kernel_plan(n, Pow2Kernel::Radix2);
         let mut want = vec![Complex64::ZERO; n];
         let mut r2_scratch = vec![Complex64::ZERO; r2.scratch_len()];
         r2.execute(&x, &mut want, &mut r2_scratch);
         for kernel in [Pow2Kernel::Radix4, Pow2Kernel::SplitRadix] {
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = kernel_plan(n, kernel);
             let mut got = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut got, &mut scratch);
@@ -483,7 +510,8 @@ proptest! {
 
     /// The split-complex (SoA) engine is bitwise identical to the AoS
     /// kernels: every power-of-two kernel, 2^1–2^12, forward and inverse,
-    /// at both SIMD dispatch levels.
+    /// at both SIMD dispatch levels. Split-radix has no SoA engine, so
+    /// its SoA pin must build the AoS plan.
     #[test]
     fn soa_layout_bitwise_equals_aos_all_kernels(
         log2n in 1u32..=12,
@@ -494,7 +522,9 @@ proptest! {
         let dir = if forward == 1 { Direction::Forward } else { Direction::Inverse };
         let x = uniform_signal(n, seed);
         let run = |kernel: Pow2Kernel, layout: Layout| {
-            let plan = FftPlan::new_with_kernel_layout(n, dir, kernel, layout);
+            let plan = pinned_plan(n, dir, kernel, layout);
+            let want = if kernel == Pow2Kernel::SplitRadix { Layout::Aos } else { layout };
+            assert_eq!(plan.layout(), want, "{} pinned {}", kernel.name(), layout.name());
             let mut dst = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut dst, &mut scratch);
@@ -541,7 +571,7 @@ proptest! {
         };
         ftfft::numeric::force_level(Some(level));
         let run_serial = |layout: Layout| {
-            let plan = FftPlan::new_with_kernel_layout(n, dir, Pow2Kernel::Radix2, layout);
+            let plan = pinned_plan(n, dir, Pow2Kernel::Radix2, layout);
             let mut dst = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut dst, &mut scratch);
@@ -550,7 +580,7 @@ proptest! {
         let want_aos = run_serial(Layout::Aos);
         let want_soa = run_serial(Layout::Soa);
 
-        let plan = FftPlan::new_parallel(n, dir, threads);
+        let plan = parallel_plan(n, dir, threads);
         let mut got = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
         plan.execute(&x, &mut got, &mut scratch);
@@ -690,12 +720,12 @@ fn parallel_strategy_bitwise_equals_serial_at_2_20() {
     let n = 1usize << 20;
     let x = uniform_signal(n, 0xF17F);
     for dir in [Direction::Forward, Direction::Inverse] {
-        let serial = FftPlan::new_with_kernel_layout(n, dir, Pow2Kernel::Radix2, Layout::Aos);
+        let serial = pinned_plan(n, dir, Pow2Kernel::Radix2, Layout::Aos);
         let mut want = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; serial.scratch_len()];
         serial.execute(&x, &mut want, &mut scratch);
         for threads in [2usize, 5, 8] {
-            let plan = FftPlan::new_parallel(n, dir, threads);
+            let plan = parallel_plan(n, dir, threads);
             assert!(
                 FftStrategy::Auto.picks_parallel(n, threads),
                 "2^20 with {threads} workers must be above the auto cutoff"
@@ -705,5 +735,73 @@ fn parallel_strategy_bitwise_equals_serial_at_2_20() {
             plan.execute(&x, &mut got, &mut ps);
             assert_eq!(got, want, "threads={threads} {dir:?}");
         }
+    }
+}
+
+/// Feeds `stream` to a fresh synchronizer in chunks whose sizes cycle
+/// through `sizes`, collecting every emitted frame and the final stats.
+fn sync_in_chunks(stream: &[u8], frame_len: usize, sizes: &[usize]) -> (Vec<Vec<f64>>, SyncStats) {
+    let mut sync = FrameSync::new(frame_len);
+    let mut frames = Vec::new();
+    let (mut rest, mut sizes) = (stream, sizes.iter().copied().cycle());
+    while !rest.is_empty() {
+        let size = sizes.next().expect("cycle over a non-empty slice").min(rest.len());
+        let (head, tail) = rest.split_at(size);
+        sync.push(head, &mut |f| frames.push(f));
+        rest = tail;
+    }
+    (frames, sync.stats())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The `FrameSync` byte parser fails closed on hostile input: encoded
+    /// frames each preceded by random garbage, then random bit flips and
+    /// a truncated tail, fed under a random chunking. It must not panic,
+    /// must emit exactly the frames and stats of one push of the same
+    /// bytes, and must account for every byte — what it has neither
+    /// skipped nor decoded is less than one frame.
+    #[test]
+    fn frame_sync_is_chunking_invariant_and_conserves_bytes(
+        frame_len in 1usize..=24,
+        frames in prop::collection::vec(
+            (prop::collection::vec(0u8..=255, 0..=12), prop::collection::vec(-1.0f64..1.0, 24)),
+            0..=6,
+        ),
+        flips in prop::collection::vec((0usize..1 << 16, 0u8..8), 0..=4),
+        keep_permille in 0usize..=1500,
+        chunks in prop::collection::vec(1usize..=64, 1..=8),
+    ) {
+        let mut stream = Vec::new();
+        for (garbage, samples) in &frames {
+            stream.extend_from_slice(garbage);
+            stream.extend(encode_stream(&samples[..frame_len], frame_len));
+        }
+        if !stream.is_empty() {
+            for &(pos, bit) in &flips {
+                let i = pos % stream.len();
+                stream[i] ^= 1 << bit;
+            }
+        }
+        stream.truncate(stream.len() * keep_permille.min(1000) / 1000);
+
+        let (want_frames, want_stats) = sync_in_chunks(&stream, frame_len, &[usize::MAX]);
+        let (got_frames, got_stats) = sync_in_chunks(&stream, frame_len, &chunks);
+        prop_assert_eq!(&got_frames, &want_frames, "chunks {:?}", chunks);
+        prop_assert_eq!(got_stats, want_stats, "chunks {:?}", chunks);
+
+        let frame_bytes = (4 + 2 * frame_len) as u64;
+        prop_assert_eq!(got_stats.bytes_in, stream.len() as u64);
+        prop_assert_eq!(got_stats.frames_synced, got_frames.len() as u64);
+        let accounted = got_stats.bytes_skipped + got_stats.frames_synced * frame_bytes;
+        let pending = got_stats.bytes_in.checked_sub(accounted);
+        prop_assert!(
+            matches!(pending, Some(p) if p < frame_bytes),
+            "{:?} leaves {:?} bytes pending with {}-byte frames",
+            got_stats,
+            pending,
+            frame_bytes
+        );
     }
 }
