@@ -17,40 +17,9 @@
 //! this exactly.
 
 use crate::combined::CombinedChecksum;
+use ftfft_fft::strided::gather_blocks;
 use ftfft_numeric::simd::{DotAcc, DotPairAcc};
 use ftfft_numeric::Complex64;
-
-/// Gather block size: even (keeps SIMD lane parity across blocks) and
-/// small enough that the block stays in L1 between the fill and the
-/// accumulate halves of the loop.
-const BLOCK: usize = 64;
-
-/// Elements of look-ahead for the strided-read prefetch: far enough to
-/// cover DRAM latency at large strides (where every element is a fresh
-/// cache line), near enough not to blow the L1 fill buffers.
-const PREFETCH_AHEAD: usize = 16;
-
-#[inline(always)]
-fn fill_block(src: &[Complex64], start: usize, stride: usize, out: &mut [Complex64]) {
-    let mut idx = start;
-    for o in out.iter_mut() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let pf = idx + PREFETCH_AHEAD * stride;
-            if pf < src.len() {
-                // SAFETY: prefetch is a hint; the address is in-bounds.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch(
-                        src.as_ptr().add(pf) as *const i8,
-                        std::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
-            }
-        }
-        *o = src[idx];
-        idx += stride;
-    }
-}
 
 /// Fills `buf[..count]` with `src[offset + t·stride]` (`count = buf.len()`)
 /// and returns the CCG `Σ_t buf[t]·ra[t]` computed in the same pass.
@@ -66,15 +35,11 @@ pub fn gather_sum1(
 ) -> Complex64 {
     debug_assert!(stride >= 1);
     debug_assert!(ra.len() >= buf.len());
-    let count = buf.len();
     let mut acc = DotAcc::new();
-    let mut t = 0usize;
-    while t < count {
-        let block = BLOCK.min(count - t);
-        fill_block(src, offset + t * stride, stride, &mut buf[t..t + block]);
-        acc.accumulate(&buf[t..t + block], &ra[t..t + block]);
-        t += block;
-    }
+    gather_blocks(src, offset, stride, buf.len(), |t, blk| {
+        acc.accumulate(blk, &ra[t..t + blk.len()]);
+        buf[t..t + blk.len()].copy_from_slice(blk);
+    });
     acc.finish()
 }
 
@@ -92,15 +57,11 @@ pub fn gather_combined(
 ) -> CombinedChecksum {
     debug_assert!(stride >= 1);
     debug_assert!(ra.len() >= buf.len());
-    let count = buf.len();
     let mut acc = DotPairAcc::new();
-    let mut t = 0usize;
-    while t < count {
-        let block = BLOCK.min(count - t);
-        fill_block(src, offset + t * stride, stride, &mut buf[t..t + block]);
-        acc.accumulate(&buf[t..t + block], &ra[t..t + block]);
-        t += block;
-    }
+    gather_blocks(src, offset, stride, buf.len(), |t, blk| {
+        acc.accumulate(blk, &ra[t..t + blk.len()]);
+        buf[t..t + blk.len()].copy_from_slice(blk);
+    });
     let (sum1, sum2) = acc.finish();
     CombinedChecksum { sum1, sum2 }
 }

@@ -68,4 +68,6 @@ pub use memory::{
     decode, mem_checksum, mem_checksum_strided, mem_correct, mem_verify, verify_and_correct,
     MemChecksum, MemVerdict,
 };
-pub use weights::{comp_weight, weighted_sum, weighted_sum_direct, weighted_sum_strided};
+pub use weights::{
+    comp_weight, weighted_sum, weighted_sum_direct, weighted_sum_strided, ResidueSums,
+};

@@ -38,6 +38,61 @@ pub fn weighted_sum_strided(
     s[0] + omega3_pow(1) * s[1] + omega3_pow(2) * s[2]
 }
 
+/// Residue-class sums of a sub-FFT output column `x`:
+/// `s[r] = Σ_{j≡r (mod 3)} x_j` and `t[r] = Σ_{j≡r (mod 3)} j·x_j`.
+///
+/// One pass yields both the column's CCV sum `r·x = Σ_r ω₃^r s[r]` and,
+/// for a column that lands at positions `j·m + c` of a larger output, its
+/// share of that output's ω₃-weighted pair (see [`ResidueSums::rotated`]):
+/// `ω₃^{j·m+c} = ω₃^c·ω₃^{(m·r) mod 3}` depends on `j` only through `r`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ResidueSums {
+    /// `Σ_{j≡r} x_j` for `r = 0, 1, 2`.
+    pub s: [Complex64; 3],
+    /// `Σ_{j≡r} j·x_j` for `r = 0, 1, 2`.
+    pub t: [Complex64; 3],
+}
+
+impl ResidueSums {
+    /// Both sum triples of `x` in one pass.
+    pub fn of(x: &[Complex64]) -> ResidueSums {
+        let mut s = [Complex64::ZERO; 3];
+        let mut t = [Complex64::ZERO; 3];
+        let mut j = 0.0f64;
+        let chunks = x.chunks_exact(3);
+        let rem = chunks.remainder();
+        for c in chunks {
+            for r in 0..3 {
+                s[r] += c[r];
+                t[r] += c[r].scale(j + r as f64);
+            }
+            j += 3.0;
+        }
+        for (r, &v) in rem.iter().enumerate() {
+            s[r] += v;
+            t[r] += v.scale(j + r as f64);
+        }
+        ResidueSums { s, t }
+    }
+
+    /// The CCV sum `Σ_j ω₃^j x_j`.
+    pub fn weighted(&self) -> Complex64 {
+        rotate(&self.s, 1)
+    }
+
+    /// `(Σ_r ω₃^{(m·r) mod 3} s[r], Σ_r ω₃^{(m·r) mod 3} t[r])`: the
+    /// weighted sums `Σ_j ω₃^{j·m} x_j` and `Σ_j ω₃^{j·m} j·x_j`.
+    pub fn rotated(&self, m: usize) -> (Complex64, Complex64) {
+        (rotate(&self.s, m), rotate(&self.t, m))
+    }
+}
+
+/// `v[0] + ω₃^{m}·v[1] + ω₃^{2m}·v[2]`.
+#[inline]
+fn rotate(v: &[Complex64; 3], m: usize) -> Complex64 {
+    v[0] + omega3_pow(m) * v[1] + omega3_pow(2 * (m % 3)) * v[2]
+}
+
 /// Reference (slow) weighted sum used in tests and the naive offline path.
 pub fn weighted_sum_direct(x: &[Complex64]) -> Complex64 {
     x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &v)| acc + comp_weight(j) * v)
@@ -55,6 +110,24 @@ mod tests {
             let a = weighted_sum(&x);
             let b = weighted_sum_direct(&x);
             assert!(a.approx_eq(b, 1e-10 * n as f64), "n={n}");
+        }
+    }
+
+    #[test]
+    fn residue_sums_give_the_weighted_pairs() {
+        for (n, m) in [(0usize, 1usize), (1, 2), (5, 3), (31, 4), (64, 5), (97, 32)] {
+            let x = uniform_signal(n, 40 + n as u64);
+            let sums = ResidueSums::of(&x);
+            assert!(sums.weighted().approx_eq(weighted_sum_direct(&x), 1e-12 * (n + 1) as f64));
+            let (p, q) = sums.rotated(m);
+            let want_p =
+                x.iter().enumerate().fold(Complex64::ZERO, |a, (j, &v)| a + comp_weight(j * m) * v);
+            let want_q = x
+                .iter()
+                .enumerate()
+                .fold(Complex64::ZERO, |a, (j, &v)| a + (comp_weight(j * m) * v).scale(j as f64));
+            assert!(p.approx_eq(want_p, 1e-12 * (n + 1) as f64), "n={n} m={m}");
+            assert!(q.approx_eq(want_q, 1e-12 * ((n + 1) * (n + 1)) as f64), "n={n} m={m}");
         }
     }
 

@@ -111,6 +111,60 @@ pub fn dmr_twiddle(
     }
 }
 
+/// [`dmr_twiddle`] over a contiguous weight slice, out of place:
+/// `dst[j] = src[j] · weights[j]` — for the optimized executors, whose
+/// twiddle weights are one row of the two-layer plan's twiddle matrix and
+/// whose result goes straight to its row of the intermediate matrix.
+///
+/// Both passes compute the same operator product as [`dmr_twiddle`] (pass
+/// 0 into `scratch[..n]`, pass 1 into `dst` with the comparison folded
+/// into its loop), at the same `TwiddleDmrPass` sites. Only on a mismatch
+/// does the per-element vote (third computation) run.
+pub fn dmr_twiddle_into(
+    src: &[Complex64],
+    weights: &[Complex64],
+    dst: &mut [Complex64],
+    injector: &dyn FaultInjector,
+    ctx: InjectionCtx,
+    report: &mut FtReport,
+    scratch: &mut [Complex64],
+) {
+    let n = dst.len();
+    let (src, weights, pass0) = (&src[..n], &weights[..n], &mut scratch[..n]);
+    for ((p0, &s), &w) in pass0.iter_mut().zip(src).zip(weights) {
+        *p0 = s * w;
+    }
+    injector.inject(ctx, Site::TwiddleDmrPass { pass: 0 }, pass0);
+    if n == 0 {
+        return;
+    }
+    // Pass 1 straight into `dst`, folding the comparison into the same
+    // loop; element 0 is peeled for the single-value fault hook.
+    let mut p1 = src[0] * weights[0];
+    injector.inject_value(ctx, Site::TwiddleDmrPass { pass: 1 }, &mut p1);
+    dst[0] = p1;
+    let mut mismatch = p1 != pass0[0];
+    for ((d, &p0), (&s, &w)) in
+        dst[1..].iter_mut().zip(&pass0[1..]).zip(src[1..].iter().zip(&weights[1..]))
+    {
+        let p1 = s * w;
+        *d = p1;
+        mismatch |= p1 != p0;
+    }
+    if mismatch {
+        for ((d, &p0), (&s, &w)) in dst.iter_mut().zip(pass0.iter()).zip(src.iter().zip(weights)) {
+            if *d != p0 {
+                report.dmr_votes += 1;
+                // Tie-break: third computation.
+                let p2 = s * w;
+                if p2 != *d {
+                    *d = p0;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,18 +231,34 @@ mod tests {
     }
 
     #[test]
+    fn slice_twiddle_clean_matches_closure_twiddle() {
+        let x = uniform_signal(17, 1);
+        let weights: Vec<_> = (0..17).map(|j| c64(0.5, -0.25).scale(j as f64 + 1.0)).collect();
+        let mut a = x.clone();
+        let mut b = vec![Complex64::ZERO; 17];
+        let mut scratch = vec![Complex64::ZERO; 17];
+        let mut rep = FtReport::new();
+        let ctx = InjectionCtx::default();
+        dmr_twiddle(&mut a, |j| weights[j], &NoFaults, ctx, &mut rep, &mut scratch);
+        dmr_twiddle_into(&x, &weights, &mut b, &NoFaults, ctx, &mut rep, &mut scratch);
+        assert_eq!(a, b);
+        assert_eq!(rep.dmr_votes, 0);
+    }
+
+    #[test]
     fn twiddle_survives_pass0_fault() {
         let x = uniform_signal(16, 2);
-        let w = |_: usize| c64(0.0, 1.0);
+        let weights = vec![c64(0.0, 1.0); 16];
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
             Site::TwiddleDmrPass { pass: 0 },
             5,
             FaultKind::AddDelta { re: -3.0, im: 7.0 },
         )]);
-        let mut data = x.clone();
+        let mut data = vec![Complex64::ZERO; 16];
         let mut scratch = vec![Complex64::ZERO; 16];
         let mut rep = FtReport::new();
-        dmr_twiddle(&mut data, w, &inj, InjectionCtx::default(), &mut rep, &mut scratch);
+        let ctx = InjectionCtx::default();
+        dmr_twiddle_into(&x, &weights, &mut data, &inj, ctx, &mut rep, &mut scratch);
         for (&got, &orig) in data.iter().zip(&x) {
             assert_eq!(got, orig * c64(0.0, 1.0));
         }
@@ -198,16 +268,17 @@ mod tests {
     #[test]
     fn twiddle_survives_pass1_fault() {
         let x = uniform_signal(8, 3);
-        let w = |_: usize| c64(2.0, 0.0);
+        let weights = vec![c64(2.0, 0.0); 8];
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
             Site::TwiddleDmrPass { pass: 1 },
             0,
             FaultKind::AddDelta { re: 1.0, im: 1.0 },
         )]);
-        let mut data = x.clone();
+        let mut data = vec![Complex64::ZERO; 8];
         let mut scratch = vec![Complex64::ZERO; 8];
         let mut rep = FtReport::new();
-        dmr_twiddle(&mut data, w, &inj, InjectionCtx::default(), &mut rep, &mut scratch);
+        let ctx = InjectionCtx::default();
+        dmr_twiddle_into(&x, &weights, &mut data, &inj, ctx, &mut rep, &mut scratch);
         for (&got, &orig) in data.iter().zip(&x) {
             assert_eq!(got, orig * c64(2.0, 0.0));
         }

@@ -14,18 +14,23 @@
 //!   rearrangement needs no extra verify+regenerate pass;
 //! * **§4.4 contiguous buffering** — the initial CMCG is a single forward
 //!   scan of the input (k accumulators), and all per-sub-FFT checksums are
-//!   computed on the gathered buffer.
+//!   computed on the gathered buffer. Each sub-FFT reads its strided input
+//!   straight into the kernel's input order
+//!   ([`ftfft_fft::TwoLayerPlan::first_fft`]), the twiddle DMR streams one
+//!   row of the plan's twiddle matrix, and the part-2 CCV pass also yields
+//!   the column's share of the final output checksum pair
+//!   ([`ResidueSums`]).
 //!
 //! This is the paper's headline "Opt-Online" configuration.
 
 use ftfft_checksum::{
-    ccv, ccv_with_sum, combined_decode, gather_combined, weighted_sum, CombinedChecksum, MemVerdict,
+    ccv, ccv_with_sum, combined_decode, gather_combined, weighted_sum, CombinedChecksum,
+    MemVerdict, ResidueSums,
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_numeric::{omega3_pow, simd, Complex64};
 
-use crate::dmr::{dmr_generate_ra_into, dmr_twiddle};
-use crate::online::gather_fft_split;
+use crate::dmr::{dmr_generate_ra_into, dmr_twiddle_into};
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
 
@@ -42,8 +47,6 @@ pub(crate) fn run(
     let (k, m) = (two.k(), two.m());
     let n = plan.n();
     let th = *plan.thresholds();
-    let split1 = two.inner_plan().supports_split();
-    let split2 = two.outer_plan().supports_split();
 
     dmr_generate_ra_into(
         m,
@@ -101,23 +104,7 @@ pub(crate) fn run(
         let mut mem_fixed = false;
         let mut saw_error = false;
         loop {
-            if split1 {
-                // The m-point sub-plan runs split-complex: gather straight
-                // into SoA planes and transform them with no boundary
-                // conversion (bitwise identical to the AoS sequence).
-                gather_fft_split(
-                    x,
-                    n1,
-                    k,
-                    two.inner_plan(),
-                    &mut ws.buf2,
-                    &mut ws.fft,
-                    &mut ws.buf[..m],
-                );
-            } else {
-                two.gather_first(x, n1, &mut ws.buf);
-                two.inner_fft(&mut ws.buf, &mut ws.fft);
-            }
+            two.first_fft(x, n1, &mut ws.buf, &mut ws.fft);
             injector.inject(
                 ctx,
                 Site::SubFftCompute { part: Part::First, index: n1 },
@@ -180,30 +167,31 @@ pub(crate) fn run(
                 break;
             }
         }
-        // Fused row twiddle under DMR, then incremental slot accumulation
-        // over the twiddled row (§4.3) and the row store.
-        {
-            let row = &mut ws.buf[..m];
-            dmr_twiddle(
-                row,
-                |j2| two.twiddle_weight(n1, j2),
-                injector,
-                ctx,
-                &mut rep,
-                &mut ws.buf2,
-            );
-        }
+        // Fused row twiddle under DMR, written straight to the row of `y`,
+        // then incremental slot accumulation over it (§4.3).
+        let row = &mut ws.y[n1 * m..(n1 + 1) * m];
+        dmr_twiddle_into(
+            &ws.buf[..m],
+            two.twiddle_weights(n1),
+            row,
+            injector,
+            ctx,
+            &mut rep,
+            &mut ws.buf2,
+        );
         let w1 = ra_k[n1];
         let w2 = w1.scale((n1 + 1) as f64);
-        ws.slots.accumulate_row(w1, w2, &ws.buf[..m]);
-        ws.y[n1 * m..(n1 + 1) * m].copy_from_slice(&ws.buf[..m]);
+        ws.slots.accumulate_row(w1, w2, row);
     }
 
     injector.inject(ctx, Site::IntermediateMemory, &mut ws.y);
 
     // ---- part 2: slot-checked k-point FFTs -------------------------------
-    // Global output pair accumulated during scatter; verified once at the
-    // end (§4.2 postponed output MCV).
+    // Global output pair `g1 = Σ ω₃^pos·X[pos]`, `g2 = Σ (pos+1)·ω₃^pos·X[pos]`
+    // accumulated from each verified column before it is scattered; checked
+    // once at the end (§4.2 postponed output MCV). Reading the column
+    // *before* it reaches memory is what lets the final CMCV catch
+    // output-memory corruption.
     let mut g1 = Complex64::ZERO;
     let mut g2 = Complex64::ZERO;
     for j2 in 0..m {
@@ -211,34 +199,23 @@ pub(crate) fn run(
         let mut attempts = 0u32;
         let mut mem_fixed = false;
         let mut saw_error = false;
-        loop {
-            if split2 {
-                gather_fft_split(
-                    &ws.y,
-                    j2,
-                    m,
-                    two.outer_plan(),
-                    &mut ws.buf2,
-                    &mut ws.fft,
-                    &mut ws.buf[..k],
-                );
-            } else {
-                two.gather_second(&ws.y, j2, &mut ws.buf);
-                two.outer_fft(&mut ws.buf, &mut ws.fft);
-            }
+        let sums = loop {
+            two.second_fft(&ws.y, j2, &mut ws.buf, &mut ws.fft);
             injector.inject(
                 ctx,
                 Site::SubFftCompute { part: Part::Second, index: j2 },
                 &mut ws.buf[..k],
             );
             rep.checks += 1;
-            let o = ccv(&ws.buf[..k], stored.sum1, th.eta2);
+            // One pass gives the CCV sum and the column's output-pair terms.
+            let sums = ResidueSums::of(&ws.buf[..k]);
+            let o = ccv_with_sum(sums.weighted(), stored.sum1, th.eta2);
             if o.ok {
                 rep.note_ok_residual_part2(o.residual);
                 if saw_error && !mem_fixed {
                     rep.comp_detected += 1;
                 }
-                break;
+                break sums;
             }
             saw_error = true;
             attempts += 1;
@@ -260,7 +237,7 @@ pub(crate) fn run(
                         rep.subfft_recomputed += 1;
                         if attempts > plan.cfg().max_retries {
                             rep.uncorrectable += 1;
-                            break;
+                            break sums;
                         }
                         continue;
                     }
@@ -275,23 +252,16 @@ pub(crate) fn run(
             rep.subfft_recomputed += 1;
             if attempts > plan.cfg().max_retries {
                 rep.uncorrectable += 1;
-                break;
+                break sums;
             }
-        }
-        // Output-pair accumulation stays a separate pass from the scatter,
-        // deliberately: each stride-m store opens a fresh cache line, and
-        // interleaving those misses into the dependent g1/g2 add chain
-        // stalls both (measured ~10% whole-scheme regression at 2^20 when
-        // fused). A pure store loop lets the line-fill buffers stream.
-        // The accumulation must read the column *before* it reaches memory
-        // — that ordering is what lets the final CMCV catch output-memory
-        // corruption — so it cannot be folded into the final verify either.
-        for (j1, &v) in ws.buf[..k].iter().enumerate() {
-            let pos = j1 * m + j2;
-            let term = v * omega3_pow(pos);
-            g1 += term;
-            g2 += term.scale((pos + 1) as f64);
-        }
+        };
+        // Position j1·m + j2 carries ω₃^{j2}·ω₃^{(m·j1) mod 3} and weight
+        // j1·m + j2 + 1, so the column adds ω₃^{j2}·p to g1 and
+        // ω₃^{j2}·(m·q + (j2+1)·p) to g2, (p, q) = sums.rotated(m).
+        let (p, q) = sums.rotated(m);
+        let w = omega3_pow(j2);
+        g1 += w * p;
+        g2 += w * (q.scale(m as f64) + p.scale((j2 + 1) as f64));
         two.scatter_output(out, j2, &ws.buf);
     }
 

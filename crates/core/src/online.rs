@@ -16,41 +16,21 @@
 //!   computed on the contiguous gather buffer) and the twiddle DMR is fused
 //!   row-wise at the end of each first-part FFT.
 
-use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided, gather_sum1};
+use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
-use ftfft_fft::FftPlan;
-use ftfft_numeric::{simd, Complex64};
+use ftfft_numeric::simd::DotAcc;
+use ftfft_numeric::Complex64;
 
-use crate::dmr::{dmr_generate_ra_into, dmr_twiddle};
+use crate::dmr::{dmr_generate_ra_into, dmr_twiddle, dmr_twiddle_into};
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
 
-/// Strided gather straight into SoA planes, SoA sub-FFT, interleave into
-/// `out` — for executors whose expected checksum is already stored (the
-/// §4.1/§4.3 memory hierarchy), so the gather needs no checksum pass.
-/// Bitwise equal to the AoS gather followed by the sub-plan's `execute`.
-pub(crate) fn gather_fft_split(
-    src: &[Complex64],
-    offset: usize,
-    stride: usize,
-    sub: &FftPlan,
-    gather_buf: &mut [Complex64],
-    fft_buf: &mut [Complex64],
-    out: &mut [Complex64],
-) {
-    let count = out.len();
-    let (g_re, g_im) = simd::planes_mut(&mut gather_buf[..count]);
-    ftfft_fft::strided::gather_split(src, offset, stride, g_re, g_im);
-    let (o_re, o_im) = simd::planes_mut(&mut fft_buf[..count]);
-    sub.execute_split(g_re, g_im, o_re, o_im);
-    simd::interleave(o_re, o_im, out);
-}
-
 /// Executes one protected first-part (m-point) sub-FFT: CCG over the
 /// gathered stride-`k` input (fused with the gather when
-/// `plan.fused_part1()`), the transform, the CCV retry loop, and — in the
-/// optimized variant — the fused row-wise twiddle under DMR. The finished
-/// row is left in `buf[..m]` for the caller to store.
+/// `plan.fused_part1()`: the sum folds each natural-order block while the
+/// gather stores it in the kernel's input order), the transform, the CCV
+/// retry loop, and — in the optimized variant — the fused row-wise twiddle
+/// under DMR. The finished row is written to `row[..m]`.
 ///
 /// This is the unit of work the pooled executor
 /// (`ftfft_parallel::PooledFtFft`) fans out across workers: it only reads
@@ -64,6 +44,7 @@ pub fn part1_row(
     ra_m: &[Complex64],
     n1: usize,
     optimized: bool,
+    row: &mut [Complex64],
     buf: &mut [Complex64],
     buf2: &mut [Complex64],
     fft: &mut [Complex64],
@@ -77,22 +58,28 @@ pub fn part1_row(
     let fused = plan.fused_part1();
     let mut attempts = 0u32;
     loop {
-        let cx = if optimized {
-            if fused {
-                // One pass: fill the gather buffer and accumulate the CCG.
-                gather_sum1(x, n1, k, ra_m, &mut buf[..m])
-            } else {
+        let cx = if optimized && fused {
+            // One pass: gather into the kernel's input order, accumulate
+            // the CCG over the same blocks, transform.
+            let mut acc = DotAcc::new();
+            two.inner_plan().execute_gathered_with(x, n1, k, &mut buf[..m], fft, |t, blk| {
+                acc.accumulate(blk, &ra_m[t..t + blk.len()])
+            });
+            acc.finish()
+        } else {
+            let cx = if optimized {
                 two.gather_first(x, n1, buf);
                 combined_sum1(&buf[..m], ra_m)
-            }
-        } else {
-            // Unoptimized: checksum over the strided source, then a
-            // separate gather for the transform (two strided reads).
-            let cx = combined_sum1_strided(x, n1, k, ra_m);
-            two.gather_first(x, n1, buf);
+            } else {
+                // Unoptimized: checksum over the strided source, then a
+                // separate gather for the transform (two strided reads).
+                let cx = combined_sum1_strided(x, n1, k, ra_m);
+                two.gather_first(x, n1, buf);
+                cx
+            };
+            two.inner_fft(buf, fft);
             cx
         };
-        two.inner_fft(buf, fft);
         injector.inject(ctx, Site::SubFftCompute { part: Part::First, index: n1 }, &mut buf[..m]);
         rep.checks += 1;
         let o = ccv(&buf[..m], cx, eta1);
@@ -110,8 +97,10 @@ pub fn part1_row(
     }
     if optimized {
         // Fused row-wise twiddle under DMR.
-        let row = &mut buf[..m];
-        dmr_twiddle(row, |j2| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
+        let w = two.twiddle_weights(n1);
+        dmr_twiddle_into(&buf[..m], w, &mut row[..m], injector, ctx, rep, buf2);
+    } else {
+        row[..m].copy_from_slice(&buf[..m]);
     }
 }
 
@@ -140,7 +129,11 @@ pub fn part2_col(
     let mut attempts = 0u32;
     loop {
         let cx2 = if optimized && fused {
-            gather_sum1(y, j2, m, ra_k, &mut buf[..k])
+            let mut acc = DotAcc::new();
+            two.outer_plan().execute_gathered_with(y, j2, m, &mut buf[..k], fft, |t, blk| {
+                acc.accumulate(blk, &ra_k[t..t + blk.len()])
+            });
+            acc.finish()
         } else {
             two.gather_second(y, j2, buf);
             if !optimized {
@@ -149,9 +142,10 @@ pub fn part2_col(
                 let col = &mut buf[..k];
                 dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
             }
-            combined_sum1(&buf[..k], ra_k)
+            let cx2 = combined_sum1(&buf[..k], ra_k);
+            two.outer_fft(buf, fft);
+            cx2
         };
-        two.outer_fft(buf, fft);
         injector.inject(ctx, Site::SubFftCompute { part: Part::Second, index: j2 }, &mut buf[..k]);
         rep.checks += 1;
         let o = ccv(&buf[..k], cx2, eta2);
@@ -210,13 +204,14 @@ pub(crate) fn run_comp(
     injector.inject(ctx, Site::InputMemory, x);
 
     // ---- part 1: k m-point FFTs ----------------------------------------
-    for n1 in 0..k {
+    for (n1, row) in ws.y.chunks_exact_mut(m).take(k).enumerate() {
         part1_row(
             plan,
             x,
             &ws.ra_m[..m],
             n1,
             optimized,
+            row,
             &mut ws.buf,
             &mut ws.buf2,
             &mut ws.fft,
@@ -224,7 +219,6 @@ pub(crate) fn run_comp(
             ctx,
             &mut rep,
         );
-        ws.y[n1 * m..(n1 + 1) * m].copy_from_slice(&ws.buf[..m]);
     }
 
     // Memory window on the intermediate matrix.

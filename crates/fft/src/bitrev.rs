@@ -11,6 +11,30 @@ pub fn reverse_bits(x: usize, bits: u32) -> usize {
     x.reverse_bits() >> (usize::BITS - bits)
 }
 
+/// The bit-reversal permutation of `0..n` as a lookup table,
+/// `table[t] = reverse_bits(t, log₂ n)`: the store order that puts a
+/// natural-order input where the iterative kernels' stages read it.
+///
+/// # Panics
+/// Panics if `n` is not a power of two or exceeds `2^32`.
+pub(crate) fn bit_reverse_table(n: usize) -> Vec<u32> {
+    assert!(n.is_power_of_two(), "bit_reverse_table: n={n} not a power of two");
+    assert!(n as u64 <= 1 << 32, "bit_reverse_table: n={n} exceeds u32 indices");
+    let mut table = Vec::with_capacity(n);
+    let mut j = 0usize;
+    for _ in 0..n {
+        table.push(j as u32);
+        // Reversed-carry increment, as in `bit_reverse_permute`.
+        let mut bit = n >> 1;
+        while bit > 0 && j & bit != 0 {
+            j ^= bit;
+            bit >>= 1;
+        }
+        j |= bit;
+    }
+    table
+}
+
 /// Applies the bit-reversal permutation in place.
 ///
 /// The reversed companion index is maintained *incrementally* (add-with-
@@ -184,31 +208,6 @@ pub unsafe fn bit_reverse_copy_c64_outer(
     }
 }
 
-/// In-place bit-reversal permutation of a (re, im) plane pair — the plane
-/// mirror of [`bit_reverse_permute`] (unblocked: for small, cache-resident
-/// plane pairs).
-pub fn bit_reverse_permute_planes(re: &mut [f64], im: &mut [f64]) {
-    let n = re.len();
-    assert_eq!(n, im.len(), "bit_reverse_permute_planes: length mismatch");
-    assert!(n.is_power_of_two(), "bit_reverse_permute_planes: n={n} not a power of two");
-    if n <= 2 {
-        return;
-    }
-    let mut j = 0usize;
-    for i in 0..n - 1 {
-        if i < j {
-            re.swap(i, j);
-            im.swap(i, j);
-        }
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +238,18 @@ mod tests {
         bit_reverse_permute(&mut v);
         let got: Vec<usize> = v.iter().map(|z| z.re as usize).collect();
         assert_eq!(got, vec![0, 4, 2, 6, 1, 5, 3, 7]);
+    }
+
+    #[test]
+    fn table_matches_reverse_bits() {
+        for t in [0u32, 1, 2, 5, 10] {
+            let n = 1usize << t;
+            let table = bit_reverse_table(n);
+            assert_eq!(table.len(), n);
+            for (i, &r) in table.iter().enumerate() {
+                assert_eq!(r as usize, reverse_bits(i, t), "t={t} i={i}");
+            }
+        }
     }
 
     #[test]
@@ -296,20 +307,6 @@ mod tests {
                 start = end;
             }
             assert_eq!(dst, whole, "split={split}");
-        }
-    }
-
-    #[test]
-    fn plane_pair_permute_matches_aos_permute() {
-        let n = 256;
-        let orig: Vec<_> = (0..n).map(|i| c64(i as f64, -(i as f64) - 0.5)).collect();
-        let mut aos = orig.clone();
-        bit_reverse_permute(&mut aos);
-        let mut re: Vec<f64> = orig.iter().map(|z| z.re).collect();
-        let mut im: Vec<f64> = orig.iter().map(|z| z.im).collect();
-        bit_reverse_permute_planes(&mut re, &mut im);
-        for i in 0..n {
-            assert_eq!((re[i], im[i]), (aos[i].re, aos[i].im), "i={i}");
         }
     }
 }

@@ -14,15 +14,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::bitrev::bit_reverse_table;
 use crate::bluestein::BluesteinPlan;
 use crate::direction::Direction;
 use crate::factor::{is_power_of_two, is_smooth};
 use crate::mixed::MixedPlan;
 use crate::parallel_dit::{resolve_threads, ParallelDitPlan};
-use crate::radix2::fft_radix2_inplace;
-use crate::radix4::fft_radix4_inplace;
+use crate::radix2::{fft_radix2_inplace, radix2_stages};
+use crate::radix4::{fft_radix4_inplace, radix4_stages};
 use crate::soa::{fft_radix2_soa, fft_radix4_soa};
 use crate::split_radix::{fft_split_radix, fft_split_radix_inplace};
+use crate::strided::gather_blocks;
 use crate::twiddle_table::{SoaRadix2Twiddles, SoaRadix4Twiddles, TwiddleTable};
 use ftfft_numeric::simd;
 use ftfft_numeric::Complex64;
@@ -498,8 +500,10 @@ impl FftSpec {
 
 #[derive(Clone, Debug)]
 enum Kernel {
-    Radix2(TwiddleTable),
-    Radix4(TwiddleTable),
+    /// The table, and the bit-reversal store order of the gathered entry.
+    Radix2(TwiddleTable, Vec<u32>),
+    /// The table, and the bit-reversal store order of the gathered entry.
+    Radix4(TwiddleTable, Vec<u32>),
     SplitRadix(TwiddleTable),
     Radix2Soa(SoaRadix2Twiddles),
     Radix4Soa(SoaRadix4Twiddles),
@@ -578,8 +582,8 @@ impl FftPlan {
     ) -> Self {
         let table = TwiddleTable::new(n, dir);
         let kernel = match (kernel, layout) {
-            (Pow2Kernel::Radix2, Layout::Aos) => Kernel::Radix2(table),
-            (Pow2Kernel::Radix4, Layout::Aos) => Kernel::Radix4(table),
+            (Pow2Kernel::Radix2, Layout::Aos) => Kernel::Radix2(table, bit_reverse_table(n)),
+            (Pow2Kernel::Radix4, Layout::Aos) => Kernel::Radix4(table, bit_reverse_table(n)),
             (Pow2Kernel::Radix2, Layout::Soa) => Kernel::Radix2Soa(SoaRadix2Twiddles::new(&table)),
             (Pow2Kernel::Radix4, Layout::Soa) => Kernel::Radix4Soa(SoaRadix4Twiddles::new(&table)),
             (Pow2Kernel::SplitRadix, _) => Kernel::SplitRadix(table),
@@ -608,8 +612,8 @@ impl FftPlan {
     /// `"split-radix"`, `"mixed"`, or `"bluestein"`).
     pub fn kernel_name(&self) -> &'static str {
         match &self.kernel {
-            Kernel::Radix2(_) | Kernel::Radix2Soa(_) => Pow2Kernel::Radix2.name(),
-            Kernel::Radix4(_) | Kernel::Radix4Soa(_) => Pow2Kernel::Radix4.name(),
+            Kernel::Radix2(..) | Kernel::Radix2Soa(_) => Pow2Kernel::Radix2.name(),
+            Kernel::Radix4(..) | Kernel::Radix4Soa(_) => Pow2Kernel::Radix4.name(),
             Kernel::SplitRadix(_) => Pow2Kernel::SplitRadix.name(),
             Kernel::Mixed(_) => "mixed",
             Kernel::Bluestein(_) => "bluestein",
@@ -649,7 +653,7 @@ impl FftPlan {
     /// Scratch length required by the execute methods.
     pub fn scratch_len(&self) -> usize {
         match &self.kernel {
-            Kernel::Radix2(_) | Kernel::Radix4(_) => 0,
+            Kernel::Radix2(..) | Kernel::Radix4(..) => 0,
             // Split-radix is out-of-place; in-place runs stage a copy.
             Kernel::SplitRadix(_) => self.n,
             // SoA kernels stage through two plane pairs carved from
@@ -667,8 +671,8 @@ impl FftPlan {
     pub fn execute_inplace(&self, data: &mut [Complex64], scratch: &mut [Complex64]) {
         assert_eq!(data.len(), self.n);
         match &self.kernel {
-            Kernel::Radix2(t) => fft_radix2_inplace(data, t),
-            Kernel::Radix4(t) => fft_radix4_inplace(data, t),
+            Kernel::Radix2(t, _) => fft_radix2_inplace(data, t),
+            Kernel::Radix4(t, _) => fft_radix4_inplace(data, t),
             Kernel::SplitRadix(t) => fft_split_radix_inplace(data, t, scratch),
             Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
                 let n = self.n;
@@ -698,11 +702,11 @@ impl FftPlan {
         assert_eq!(src.len(), self.n);
         assert_eq!(dst.len(), self.n);
         match &self.kernel {
-            Kernel::Radix2(t) => {
+            Kernel::Radix2(t, _) => {
                 dst.copy_from_slice(src);
                 fft_radix2_inplace(dst, t);
             }
-            Kernel::Radix4(t) => {
+            Kernel::Radix4(t, _) => {
                 dst.copy_from_slice(src);
                 fft_radix4_inplace(dst, t);
             }
@@ -719,6 +723,88 @@ impl FftPlan {
             Kernel::Mixed(p) => p.execute(src, dst, &mut scratch[..p.scratch_len()]),
             Kernel::Bluestein(p) => p.execute(src, dst, scratch),
             Kernel::ParallelDit(p) => p.execute(src, dst, scratch),
+        }
+    }
+
+    /// Out-of-place transform of the decimation `src[offset + t·stride]`,
+    /// `t < n`, into `out` — the buffered sub-FFT of a two-layer
+    /// decomposition (§4.4). Bitwise equal to gathering into `out` and
+    /// running [`execute_inplace`](FftPlan::execute_inplace), with the
+    /// same `scratch` requirement, but it skips passes that pair makes:
+    /// the radix-2/4 AoS kernels receive the decimation straight in their
+    /// bit-reversed input order (no separate permutation pass), the SoA
+    /// kernels receive it straight in split planes, and the out-of-place
+    /// kernels gather into their staging copy.
+    pub fn execute_gathered(
+        &self,
+        src: &[Complex64],
+        offset: usize,
+        stride: usize,
+        out: &mut [Complex64],
+        scratch: &mut [Complex64],
+    ) {
+        self.execute_gathered_with(src, offset, stride, out, scratch, |_, _| {});
+    }
+
+    /// [`execute_gathered`](FftPlan::execute_gathered) that also hands
+    /// every gathered input block to `visit(t0, block)` in natural `t`
+    /// order (blocks of [`crate::strided::GATHER_BLOCK`] elements, the
+    /// last may be shorter) before it is stored — the hook a checksum
+    /// generation rides to read each input element exactly once.
+    pub fn execute_gathered_with(
+        &self,
+        src: &[Complex64],
+        offset: usize,
+        stride: usize,
+        out: &mut [Complex64],
+        scratch: &mut [Complex64],
+        mut visit: impl FnMut(usize, &[Complex64]),
+    ) {
+        let n = self.n;
+        assert_eq!(out.len(), n);
+        assert!(offset + (n - 1) * stride < src.len(), "decimation overruns src");
+        match &self.kernel {
+            Kernel::Radix2(t, rev) => {
+                gather_reversed(src, offset, stride, rev, out, visit);
+                radix2_stages(out, t, 1);
+            }
+            Kernel::Radix4(t, rev) => {
+                gather_reversed(src, offset, stride, rev, out, visit);
+                radix4_stages(out, t, 1);
+            }
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
+                let (a, b) = scratch[..2 * n].split_at_mut(n);
+                let (a_re, a_im) = simd::planes_mut(a);
+                gather_blocks(src, offset, stride, n, |t0, blk| {
+                    visit(t0, blk);
+                    for (i, v) in blk.iter().enumerate() {
+                        a_re[t0 + i] = v.re;
+                        a_im[t0 + i] = v.im;
+                    }
+                });
+                let (b_re, b_im) = simd::planes_mut(b);
+                self.execute_split(a_re, a_im, b_re, b_im);
+                simd::interleave(b_re, b_im, out);
+            }
+            Kernel::SplitRadix(t) => {
+                let copy = &mut scratch[..n];
+                gather_natural(src, offset, stride, copy, visit);
+                fft_split_radix(copy, out, t);
+            }
+            Kernel::Mixed(p) => {
+                let (copy, rest) = scratch.split_at_mut(n);
+                gather_natural(src, offset, stride, copy, visit);
+                p.execute(copy, out, rest);
+            }
+            Kernel::Bluestein(p) => {
+                let (copy, rest) = scratch.split_at_mut(n);
+                gather_natural(src, offset, stride, copy, visit);
+                p.execute(copy, out, rest);
+            }
+            Kernel::ParallelDit(p) => {
+                gather_natural(src, offset, stride, out, visit);
+                p.execute_inplace(out, scratch);
+            }
         }
     }
 
@@ -788,6 +874,40 @@ impl FftPlan {
             self.execute_inplace(chunk, scratch);
         }
     }
+}
+
+/// Gathers `src[offset + t·stride]` into `out[rev[t]]` — the bit-reversed
+/// input order of the iterative kernels — showing each natural-order
+/// block to `visit` first.
+fn gather_reversed(
+    src: &[Complex64],
+    offset: usize,
+    stride: usize,
+    rev: &[u32],
+    out: &mut [Complex64],
+    mut visit: impl FnMut(usize, &[Complex64]),
+) {
+    gather_blocks(src, offset, stride, out.len(), |t0, blk| {
+        visit(t0, blk);
+        for (&r, &v) in rev[t0..t0 + blk.len()].iter().zip(blk) {
+            out[r as usize] = v;
+        }
+    });
+}
+
+/// Gathers `src[offset + t·stride]` into `out[t]`, showing each block to
+/// `visit` first.
+fn gather_natural(
+    src: &[Complex64],
+    offset: usize,
+    stride: usize,
+    out: &mut [Complex64],
+    mut visit: impl FnMut(usize, &[Complex64]),
+) {
+    gather_blocks(src, offset, stride, out.len(), |t0, blk| {
+        visit(t0, blk);
+        out[t0..t0 + blk.len()].copy_from_slice(blk);
+    });
 }
 
 /// A caching planner: one plan per `(n, direction)`.

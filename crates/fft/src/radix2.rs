@@ -30,7 +30,14 @@ pub fn fft_radix2_strided_table(data: &mut [Complex64], table: &TwiddleTable, ta
         return;
     }
     bit_reverse_permute(data);
+    radix2_stages(data, table, table_stride);
+}
 
+/// The butterfly stages of [`fft_radix2_strided_table`] over input that is
+/// already in bit-reversed order (the gathered entry
+/// [`crate::FftPlan::execute_gathered`] stores it that way).
+pub(crate) fn radix2_stages(data: &mut [Complex64], table: &TwiddleTable, table_stride: usize) {
+    let n = data.len();
     let mut len = 2usize;
     while len <= n {
         let half = len / 2;

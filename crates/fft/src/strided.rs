@@ -19,26 +19,55 @@ pub fn gather(src: &[Complex64], offset: usize, stride: usize, out: &mut [Comple
     }
 }
 
-/// [`gather`] variant writing split planes: `out_re[t]/out_im[t] =
-/// src[offset + t·stride].re/.im` — fills the SoA sub-FFT input in the
-/// same single strided pass, so protected executors whose sub-plans run
-/// split-complex skip the extra deinterleave entirely.
+/// Block length of [`gather_blocks`]: even, so a streaming two-lane SIMD
+/// accumulator fed block by block keeps its lane parity, and small enough
+/// (1 KB) to stay in L1 between the fill and the consumer.
+pub const GATHER_BLOCK: usize = 64;
+
+/// Elements of look-ahead for the strided-read prefetch: far enough to
+/// cover DRAM latency at large strides (where every element is a fresh
+/// cache line), near enough not to blow the L1 fill buffers.
+const PREFETCH_AHEAD: usize = 16;
+
+/// Reads `src[offset + t·stride]` for `t < count` in natural order, in
+/// blocks of [`GATHER_BLOCK`] elements (the last may be shorter), and hands
+/// each block to `sink(t0, block)` with `t0` its first index. The consumer
+/// decides where the elements land — contiguous, split planes, or a
+/// kernel's bit-reversed input order — and may fold a checksum over the
+/// block while it is in L1.
 #[inline]
-pub fn gather_split(
+pub fn gather_blocks(
     src: &[Complex64],
     offset: usize,
     stride: usize,
-    out_re: &mut [f64],
-    out_im: &mut [f64],
+    count: usize,
+    mut sink: impl FnMut(usize, &[Complex64]),
 ) {
     debug_assert!(stride >= 1);
-    debug_assert_eq!(out_re.len(), out_im.len());
-    let mut idx = offset;
-    for (r, i) in out_re.iter_mut().zip(out_im.iter_mut()) {
-        let z = src[idx];
-        *r = z.re;
-        *i = z.im;
-        idx += stride;
+    let mut block = [Complex64::ZERO; GATHER_BLOCK];
+    let mut t0 = 0usize;
+    while t0 < count {
+        let len = GATHER_BLOCK.min(count - t0);
+        let mut idx = offset + t0 * stride;
+        for o in block[..len].iter_mut() {
+            #[cfg(target_arch = "x86_64")]
+            {
+                let pf = idx + PREFETCH_AHEAD * stride;
+                if pf < src.len() {
+                    // SAFETY: prefetch is a hint; the address is in-bounds.
+                    unsafe {
+                        std::arch::x86_64::_mm_prefetch(
+                            src.as_ptr().add(pf) as *const i8,
+                            std::arch::x86_64::_MM_HINT_T0,
+                        );
+                    }
+                }
+            }
+            *o = src[idx];
+            idx += stride;
+        }
+        sink(t0, &block[..len]);
+        t0 += len;
     }
 }
 
@@ -158,6 +187,24 @@ mod tests {
             scatter(&mut dst, off, stride, &buf);
         }
         assert_eq!(src, dst);
+    }
+
+    #[test]
+    fn gather_blocks_visits_the_decimation_in_order() {
+        let src = uniform_signal(700, 4);
+        for (offset, stride, count) in
+            [(0usize, 1usize, 0usize), (3, 5, 1), (2, 7, 64), (1, 3, 200)]
+        {
+            let mut want = vec![Complex64::ZERO; count];
+            gather(&src, offset, stride, &mut want);
+            let mut got = Vec::new();
+            gather_blocks(&src, offset, stride, count, |t0, blk| {
+                assert_eq!(t0, got.len());
+                assert!(blk.len() == GATHER_BLOCK || t0 + blk.len() == count);
+                got.extend_from_slice(blk);
+            });
+            assert_eq!(got, want, "offset={offset} stride={stride} count={count}");
+        }
     }
 
     #[test]

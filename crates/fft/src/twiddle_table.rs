@@ -74,6 +74,11 @@ impl TwiddleTable {
     pub fn as_slice(&self) -> &[Complex64] {
         &self.w
     }
+
+    /// The table's storage, `ω_n^t` at index `t`.
+    pub fn into_vec(self) -> Vec<Complex64> {
+        self.w
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ pub struct SoaRadix4Stage {
 }
 
 /// Stage-major packed twiddles for the SoA radix-4 kernel of an `l`-point
-/// transform, optionally read through a table stride.
+/// transform.
 #[derive(Clone, Debug)]
 pub struct SoaRadix4Twiddles {
     l: usize,
@@ -211,21 +216,14 @@ pub struct SoaRadix4Twiddles {
 impl SoaRadix4Twiddles {
     /// Packs every stage of an `l == table.len()`-point radix-4 transform.
     pub fn new(table: &TwiddleTable) -> Self {
-        Self::with_stride(table, table.len(), 1)
-    }
-
-    /// Packs for an `l`-point transform read through `stride`
-    /// (`table.len() == l·stride` — the strided-table contract of
-    /// [`crate::radix4::fft_radix4_strided_table`]).
-    pub fn with_stride(table: &TwiddleTable, l: usize, stride: usize) -> Self {
+        let l = table.len();
         assert!(l.is_power_of_two(), "SoA radix-4 pack needs a power of two, got {l}");
-        assert_eq!(table.len(), l * stride, "table size incompatible with l={l}, stride={stride}");
         let unpaired = l.trailing_zeros() % 2 == 1;
         let mut stages = Vec::new();
         let mut len = if unpaired { 2usize } else { 1 };
         while len < l {
             let block = len * 4;
-            let e = (l / block) * stride;
+            let e = l / block;
             stages.push(SoaRadix4Stage {
                 quarter: len,
                 w1: SplitTwiddles::gather(table, len, e),
@@ -326,16 +324,15 @@ mod tests {
     }
 
     #[test]
-    fn soa_radix4_pack_matches_strided_table_reads() {
-        let l = 32; // odd log2: unpaired leading pass
-        let stride = 4;
-        let t = TwiddleTable::new(l * stride, Direction::Inverse);
-        let p = SoaRadix4Twiddles::with_stride(&t, l, stride);
+    fn soa_radix4_pack_matches_table_reads() {
+        let l = 128; // odd log2: unpaired leading pass
+        let t = TwiddleTable::new(l, Direction::Inverse);
+        let p = SoaRadix4Twiddles::new(&t);
         assert!(p.unpaired());
         assert_eq!(p.direction(), Direction::Inverse);
         let mut len = 2usize;
         for stage in p.stages() {
-            let e = (l / (len * 4)) * stride;
+            let e = l / (len * 4);
             assert_eq!(stage.quarter, len);
             for j in 0..len {
                 assert_eq!(stage.w1.re[j], t.get(j * e).re, "len={len} j={j}");

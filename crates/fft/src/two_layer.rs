@@ -11,6 +11,14 @@
 //! The online ABFT scheme wraps each step with its own protection, so the
 //! plan exposes every stage as a primitive (gather / sub-FFT / twiddle /
 //! scatter) in addition to a reference [`execute`](TwoLayerPlan::execute).
+//!
+//! The buffered sub-FFTs ([`first_fft`](TwoLayerPlan::first_fft),
+//! [`second_fft`](TwoLayerPlan::second_fft)) read their strided input
+//! straight into the sub-kernel's input order through
+//! [`FftPlan::execute_gathered`] — for the radix-2/4 kernels that is the
+//! bit-reversed order, so no separate permutation pass runs — and the
+//! twiddles are stored as a row-major `k × m` matrix, so row `n1`'s
+//! weights `ω_N^{n1·j2}` are one contiguous slice.
 
 use std::sync::Arc;
 
@@ -30,7 +38,8 @@ pub struct TwoLayerPlan {
     dir: Direction,
     inner: Arc<FftPlan>,
     outer: Arc<FftPlan>,
-    twiddle: TwiddleTable,
+    /// Row-major `k × m` matrix, `twiddle[n1·m + j2] = ω_N^{n1·j2}`.
+    twiddle: Vec<Complex64>,
 }
 
 /// Reusable working storage for [`TwoLayerPlan`] execution.
@@ -55,6 +64,14 @@ impl TwoLayerPlan {
     pub fn with_split(planner: &Planner, n: usize, k: usize, dir: Direction) -> Self {
         assert!(n > 0 && k > 0 && n.is_multiple_of(k), "invalid split {k} of {n}");
         let m = n / k;
+        // Rearrange the n-entry table into the matrix in place (no second
+        // n-long buffer at plan time): entry d = n1·m + j2 takes table
+        // entry n1·j2 ≤ d, so filling d from the top down reads every
+        // source before it is overwritten.
+        let mut twiddle = TwiddleTable::new(n, dir).into_vec();
+        for d in (0..n).rev() {
+            twiddle[d] = twiddle[(d / m) * (d % m)];
+        }
         TwoLayerPlan {
             n,
             k,
@@ -62,7 +79,7 @@ impl TwoLayerPlan {
             dir,
             inner: planner.plan(m, dir),
             outer: planner.plan(k, dir),
-            twiddle: TwiddleTable::new(n, dir),
+            twiddle,
         }
     }
 
@@ -119,18 +136,40 @@ impl TwoLayerPlan {
         self.inner.execute_inplace(&mut buf[..self.m], fft_scratch);
     }
 
+    /// First-part FFT `n1 < k` in one call: reads `x[n1 + t·k]` straight
+    /// into the m-point kernel's input order and transforms it into
+    /// `buf[..m]`. Bitwise equal to [`gather_first`](Self::gather_first)
+    /// followed by [`inner_fft`](Self::inner_fft).
+    #[inline]
+    pub fn first_fft(
+        &self,
+        src: &[Complex64],
+        n1: usize,
+        buf: &mut [Complex64],
+        fft: &mut [Complex64],
+    ) {
+        debug_assert!(n1 < self.k);
+        self.inner.execute_gathered(src, n1, self.k, &mut buf[..self.m], fft);
+    }
+
     /// Twiddle weight `ω_N^{n1·j2}` for row `n1`, column `j2`.
     #[inline(always)]
     pub fn twiddle_weight(&self, n1: usize, j2: usize) -> Complex64 {
-        // n1 < k, j2 < m so n1*j2 < n: direct table access.
-        self.twiddle.get(n1 * j2)
+        self.twiddle[n1 * self.m + j2]
     }
 
-    /// Applies the twiddle stage to row `n1` held in `row[..m]`.
+    /// Row `n1`'s twiddle weights `ω_N^{n1·j2}`, `j2 < m`, contiguous.
     #[inline]
-    pub fn twiddle_row(&self, n1: usize, row: &mut [Complex64]) {
-        for (j2, z) in row[..self.m].iter_mut().enumerate() {
-            *z *= self.twiddle.get(n1 * j2);
+    pub fn twiddle_weights(&self, n1: usize) -> &[Complex64] {
+        &self.twiddle[n1 * self.m..(n1 + 1) * self.m]
+    }
+
+    /// Applies the twiddle stage to row `n1`: `out[j2] = row[j2]·ω_N^{n1·j2}`
+    /// for `j2 < m`.
+    #[inline]
+    pub fn twiddle_row(&self, n1: usize, row: &[Complex64], out: &mut [Complex64]) {
+        for ((o, &z), &w) in out[..self.m].iter_mut().zip(row).zip(self.twiddle_weights(n1)) {
+            *o = z * w;
         }
     }
 
@@ -148,6 +187,23 @@ impl TwoLayerPlan {
         self.outer.execute_inplace(&mut buf[..self.k], fft_scratch);
     }
 
+    /// Second-part FFT `j2 < m` in one call: reads column `j2` of `y`
+    /// straight into the k-point kernel's input order and transforms it
+    /// into `buf[..k]`. Bitwise equal to
+    /// [`gather_second`](Self::gather_second) followed by
+    /// [`outer_fft`](Self::outer_fft).
+    #[inline]
+    pub fn second_fft(
+        &self,
+        y: &[Complex64],
+        j2: usize,
+        buf: &mut [Complex64],
+        fft: &mut [Complex64],
+    ) {
+        debug_assert!(j2 < self.m);
+        self.outer.execute_gathered(y, j2, self.m, &mut buf[..self.k], fft);
+    }
+
     /// Scatters the output of second-part FFT `j2` into `dst`
     /// (`dst[j1·m + j2] = vals[j1]`).
     #[inline]
@@ -156,19 +212,17 @@ impl TwoLayerPlan {
     }
 
     /// Reference unprotected execution (the "plain FFTW" baseline of the
-    /// evaluation): all three stages with buffered strided access.
+    /// evaluation): all three stages with buffered strided access; each
+    /// twiddled first-part row lands directly in `y`.
     pub fn execute(&self, src: &[Complex64], dst: &mut [Complex64], s: &mut TwoLayerScratch) {
         assert_eq!(src.len(), self.n);
         assert_eq!(dst.len(), self.n);
-        for n1 in 0..self.k {
-            self.gather_first(src, n1, &mut s.buf);
-            self.inner_fft(&mut s.buf, &mut s.fft);
-            self.twiddle_row(n1, &mut s.buf);
-            s.y[n1 * self.m..(n1 + 1) * self.m].copy_from_slice(&s.buf[..self.m]);
+        for (n1, row) in s.y.chunks_exact_mut(self.m).enumerate() {
+            self.first_fft(src, n1, &mut s.buf, &mut s.fft);
+            self.twiddle_row(n1, &s.buf, row);
         }
         for j2 in 0..self.m {
-            self.gather_second(&s.y, j2, &mut s.buf);
-            self.outer_fft(&mut s.buf, &mut s.fft);
+            self.second_fft(&s.y, j2, &mut s.buf, &mut s.fft);
             self.scatter_output(dst, j2, &s.buf);
         }
     }
@@ -210,6 +264,22 @@ mod tests {
         check(360, Some(8));
         check(100, Some(10));
         check(2048, Some(2)); // degenerate split still correct
+    }
+
+    #[test]
+    fn twiddle_matrix_rows_copy_the_table() {
+        let planner = Planner::new();
+        for (n, k) in [(144usize, 12usize), (360, 8), (1024, 32), (64, 1), (64, 64)] {
+            let plan = TwoLayerPlan::with_split(&planner, n, k, Direction::Inverse);
+            let table = TwiddleTable::new(n, Direction::Inverse);
+            for n1 in 0..k {
+                let row = plan.twiddle_weights(n1);
+                assert_eq!(row.len(), plan.m());
+                for (j2, &w) in row.iter().enumerate() {
+                    assert_eq!(w, table.get(n1 * j2), "n={n} k={k} n1={n1} j2={j2}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -204,12 +204,14 @@ impl PooledFtFft {
                 let mut slot = slots[w].lock();
                 let (y_rows, lane, local_rep) = &mut *slot;
                 for n1 in rows.clone() {
+                    let off = (n1 - rows.start) * m;
                     part1_row(
                         plan,
                         x_shared,
                         ra_m,
                         n1,
                         optimized,
+                        &mut y_rows[off..off + m],
                         &mut lane.buf,
                         &mut lane.buf2,
                         &mut lane.fft,
@@ -217,8 +219,6 @@ impl PooledFtFft {
                         ctx,
                         local_rep,
                     );
-                    let off = (n1 - rows.start) * m;
-                    y_rows[off..off + m].copy_from_slice(&lane.buf[..m]);
                 }
             });
             for slot in slots {

@@ -101,12 +101,19 @@ pub enum RequestError {
     /// failed *this request only*, and kept serving the queue. The
     /// payload is the panic message.
     Panicked(String),
+    /// The request ran to completion, but its report counts this many
+    /// uncorrectable faults: the output is not verified, so it is not
+    /// delivered (fail closed). The report still reaches telemetry.
+    Uncorrectable(u32),
 }
 
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RequestError::Panicked(msg) => write!(f, "request execution panicked: {msg}"),
+            RequestError::Uncorrectable(count) => {
+                write!(f, "request output unverified: {count} uncorrectable fault(s)")
+            }
         }
     }
 }
@@ -144,7 +151,9 @@ impl Ticket {
     }
 
     /// Blocks until the service has executed the request; a worker-side
-    /// panic surfaces as [`RequestError::Panicked`] instead of unwinding.
+    /// panic surfaces as [`RequestError::Panicked`] instead of unwinding,
+    /// and an output with uncorrectable faults as
+    /// [`RequestError::Uncorrectable`].
     pub fn wait_result(self) -> Result<ServiceResponse, RequestError> {
         let mut g = self.slot.filled.lock().unwrap();
         loop {
@@ -608,8 +617,9 @@ fn run_batch(inner: &Inner, batch: PendingBatch, workspaces: &mut HashMap<PlanSp
     }
 }
 
-/// Completes one request successfully: telemetry, per-tenant counters,
-/// and the ticket.
+/// Completes one executed request: telemetry, per-tenant counters, and
+/// the ticket — `Ok` only when every fault was corrected, otherwise
+/// [`RequestError::Uncorrectable`].
 fn deliver_ok(
     inner: &Inner,
     req: Request,
@@ -632,6 +642,10 @@ fn deliver_ok(
         });
     }
     inner.telemetry.record(&req.tenant, latency, frames, req.cache_hit, &report);
+    if report.uncorrectable > 0 {
+        req.slot.deliver(Err(RequestError::Uncorrectable(report.uncorrectable)));
+        return;
+    }
     req.slot.deliver(Ok(ServiceResponse {
         output,
         report,
@@ -892,7 +906,7 @@ mod tests {
             Err(RequestError::Panicked(msg)) => {
                 assert!(msg.contains("injected stage panic"), "unexpected message: {msg}")
             }
-            Ok(_) => panic!("panicking request must not produce a response"),
+            other => panic!("panicking request must fail as Panicked, got {other:?}"),
         }
 
         // The same worker must still be alive and correct for the next

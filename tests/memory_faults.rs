@@ -192,3 +192,47 @@ fn in_place_plan_memory_protection() {
     assert!(rep.mem_corrected >= 1, "{rep:?}");
     assert!(ftfft::numeric::max_abs_diff(&data, &want) < 1e-8 * n as f64);
 }
+
+/// Opt-Online(m) folds the output checksum pair into the part-2 CCV pass
+/// through residue-class sums whose weights depend on `m mod 3`. A
+/// `SetValue` output-memory fault at *every* position must be located and
+/// corrected, for splits with `m mod 3 = 0, 1, 2`; the clean run of each
+/// split reports no detection.
+#[test]
+fn opt_online_output_fault_corrected_at_every_position() {
+    let mut residues = Vec::new();
+    for (n, k) in
+        [(144usize, Some(12usize)), (360, Some(8)), (1024, None), (2048, None), (4096, None)]
+    {
+        let mut cfg = FtConfig::new(Scheme::OnlineMemOpt);
+        cfg.split_k = k;
+        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let m = plan.two().m();
+        residues.push(m % 3);
+        let x = uniform_signal(n, 17);
+        let mut ws = plan.make_workspace();
+        let mut clean = vec![Complex64::ZERO; n];
+        let rep = plan.execute(&mut x.clone(), &mut clean, &NoFaults, &mut ws);
+        assert!(rep.is_clean(), "n={n} m={m}: clean run detected {rep:?}");
+        let tol = 1e-9 * n as f64;
+        let mut out = vec![Complex64::ZERO; n];
+        for pos in 0..n {
+            let inj = ScriptedInjector::new(vec![ScriptedFault::new(
+                Site::OutputMemory,
+                pos,
+                FaultKind::SetValue { re: 3.5, im: -2.25 },
+            )]);
+            let rep = plan.execute(&mut x.clone(), &mut out, &inj, &mut ws);
+            assert_eq!(
+                (rep.mem_detected, rep.mem_corrected, rep.uncorrectable),
+                (1, 1, 0),
+                "n={n} m={m} (m mod 3 = {}) pos={pos}: {rep:?}",
+                m % 3
+            );
+            assert!((out[pos] - clean[pos]).norm() < tol, "n={n} pos={pos} not repaired");
+        }
+    }
+    residues.sort_unstable();
+    residues.dedup();
+    assert_eq!(residues, vec![0, 1, 2], "the splits must cover every m mod 3");
+}

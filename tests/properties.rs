@@ -548,6 +548,54 @@ proptest! {
         }
     }
 
+    /// The gathered entry is bitwise equal to gathering the decimation
+    /// `src[offset + t·stride]` and running `execute_inplace`: every
+    /// power-of-two kernel × layout, the parallel DIT, and the planner's
+    /// pick at an arbitrary size (mixed-radix or Bluestein off the powers
+    /// of two), sizes 1–2^12, both directions, random offsets and strides.
+    /// The visitor sees the decimation in natural order.
+    #[test]
+    fn gathered_entry_bitwise_equals_gather_then_execute(
+        log2n in 0u32..=12,
+        any_n in 1usize..=4096,
+        offset in 0usize..9,
+        stride in 1usize..7,
+        seed in 0u64..512,
+        forward in 0u8..2,
+    ) {
+        let dir = if forward == 1 { Direction::Forward } else { Direction::Inverse };
+        let n = 1usize << log2n;
+        let mut plans: Vec<FftPlan> = Pow2Kernel::ALL
+            .iter()
+            .flat_map(|&k| Layout::ALL.map(|l| pinned_plan(n, dir, k, l)))
+            .collect();
+        plans.push(FftPlan::from_spec(
+            &FftSpec::new(n, dir).with_strategy(FftStrategy::Parallel).with_threads(2),
+        ));
+        plans.push(FftPlan::new(any_n, dir));
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for plan in &plans {
+            let len = plan.len();
+            let src = uniform_signal(offset + (len - 1) * stride + 1, seed);
+            let mut gathered = vec![Complex64::ZERO; len];
+            gather(&src, offset, stride, &mut gathered);
+            let mut want = gathered.clone();
+            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
+            plan.execute_inplace(&mut want, &mut scratch);
+            let mut got = vec![Complex64::ZERO; len];
+            let mut seen = Vec::with_capacity(len);
+            plan.execute_gathered_with(&src, offset, stride, &mut got, &mut scratch, |t0, blk| {
+                assert_eq!(t0, seen.len());
+                seen.extend_from_slice(blk);
+            });
+            let what = format!("{} {} n={len}", plan.kernel_name(), plan.layout_name());
+            prop_assert_eq!(bits(&got), bits(&want), "{}", what);
+            prop_assert_eq!(bits(&seen), bits(&gathered), "{} visit order", what);
+        }
+    }
+
     /// The two-halves parallel DIT strategy is bitwise identical to the
     /// serial plan: any worker count 1–8, forward and inverse, at both
     /// SIMD dispatch levels, against the serial radix-2 kernel in both

@@ -153,6 +153,37 @@ fn scripted_fault_campaign_matches_direct_execution() {
 }
 
 #[test]
+fn uncorrectable_fault_fails_closed_with_typed_error() {
+    // One sub-FFT struck on its first attempt and on every retry: the
+    // recompute budget runs out, so the service must not hand the
+    // unverified output back as `Ok`.
+    const N: usize = 1024;
+    let spec = PlanSpec::builder(N).scheme(Scheme::OnlineCompOpt).build();
+    let retries = FtFftPlan::from_spec(&spec).cfg().max_retries;
+    let script: Vec<ScriptedFault> = (0..=retries)
+        .map(|occ| {
+            ScriptedFault::new(
+                Site::SubFftCompute { part: Part::First, index: 4 },
+                9,
+                FaultKind::AddDelta { re: 0.5, im: 0.5 },
+            )
+            .at_occurrence(occ)
+        })
+        .collect();
+    let svc = FftService::new(ServiceConfig::default().with_workers(2));
+    let inj = Arc::new(ScriptedInjector::new(script));
+    let res = svc.submit_injected("doomed", &spec, uniform_signal(N, 5), inj.clone()).wait_result();
+    assert!(inj.exhausted(), "every retry must be struck");
+    assert_eq!(res.err(), Some(RequestError::Uncorrectable(1)));
+
+    // The queue keeps serving, and a clean request still gets `Ok`.
+    let ok = svc.submit("clean", &spec, uniform_signal(N, 6)).wait_result();
+    assert!(ok.is_ok_and(|r| r.report.is_clean()));
+    svc.quiesce();
+    assert_eq!(svc.stats().failed, 0, "an uncorrectable result is not a worker panic");
+}
+
+#[test]
 fn service_reuses_one_plan_across_tenants() {
     let spec = PlanSpec::builder(512).scheme(Scheme::OnlineMemOpt).build();
     let svc = FftService::new(
