@@ -172,8 +172,8 @@ fn main() {
         .collect();
     let scripted_panics = panic_points.len();
     let chaos = PanicInjector::new(comp, panic_points);
-    // Memory strikes on CRC-guarded cold outputs (retained inputs stay
-    // intact, so every detection heals by bitwise recompute).
+    // Single-word memory strikes on CRC-guarded cold outputs: the slot's
+    // XOR parity locates each struck word and flips it back in place.
     let mem = RandomByteInjector::new(seed ^ 0xDEAD_BEEF, 0.6, ByteFaultKind::BitFlip, 50)
         .with_region_filter(|r| matches!(r, ByteRegion::ColdSlot { .. }));
 
@@ -197,10 +197,11 @@ fn main() {
         rep.cold.crc_detected
     );
     println!(
-        "  corrected: {} (sub-FFT recompute {}, memory repair {}, frame recompute {})",
+        "  corrected: {} (sub-FFT recompute {}, memory repair {}, cold frames healed in place {}, frame recompute {})",
         rep.corrected(),
         rep.transform.ft.subfft_recomputed,
         rep.transform.ft.mem_corrected,
+        rep.cold.corrected,
         rep.cold.recomputed
     );
     println!("  retried  : {} panic-supervised re-runs", rep.transform.retries);
@@ -219,7 +220,8 @@ fn main() {
         rep.cold.crc_detected, mem_fired as u64,
         "every cold strike must be CRC-detected, exactly"
     );
-    assert_eq!(rep.cold.recomputed, mem_fired as u64);
+    assert_eq!(rep.cold.corrected, mem_fired as u64, "every cold strike must heal in place");
+    assert_eq!(rep.cold.recomputed, 0);
     assert_eq!(rep.sink.recovered, mem_fired as u64);
     assert!(panics >= 1, "no scripted panic fired — campaign under-stressed");
     assert_eq!(rep.transform.panics_caught, rep.transform.retries);

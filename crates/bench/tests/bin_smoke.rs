@@ -9,14 +9,34 @@
 //! the same registry `reproduce_all` derives both its run modes from.
 
 use std::process::Command;
+use std::sync::RwLock;
 
 use ftfft_bench::smoke_args;
+
+/// Turns for the smoke binaries. The two whose runs evaluate perfgate's
+/// debug timing gates (`perfgate_smoke`, and `reproduce_all_smoke`, which
+/// runs perfgate too) hold it exclusively; every other smoke binary holds
+/// it shared. A gate run timing beside another binary on a small box
+/// reads that binary's load as overhead.
+static TIMING_GATES: RwLock<()> = RwLock::new(());
+
+/// Runs a smoke binary; others may run beside it, but no timing gate.
+fn run_ok(name: &str, exe: &str, args: &[&str]) -> String {
+    let _turn = TIMING_GATES.read().unwrap_or_else(|e| e.into_inner());
+    run(name, exe, args)
+}
+
+/// Runs a binary that evaluates perfgate's timing gates, alone.
+fn run_timed(name: &str, exe: &str, args: &[&str]) -> String {
+    let _turn = TIMING_GATES.write().unwrap_or_else(|e| e.into_inner());
+    run(name, exe, args)
+}
 
 /// Runs `exe` with `args`, asserting success and non-empty stdout. The
 /// working directory is the system temp dir, so a binary's default
 /// output file (perfgate's `BENCH_PR.json`, when `reproduce_all` runs it)
 /// never overwrites the committed one in the package directory.
-fn run_ok(name: &str, exe: &str, args: &[&str]) -> String {
+fn run(name: &str, exe: &str, args: &[&str]) -> String {
     let out = Command::new(exe)
         .args(args)
         .current_dir(std::env::temp_dir())
@@ -104,7 +124,7 @@ fn perfgate_smoke() {
     let out_str = out.to_str().expect("utf-8 temp path").to_string();
     let mut args: Vec<&str> = smoke_args("perfgate").to_vec();
     args.extend_from_slice(&["--out", &out_str]);
-    let stdout = run_ok("perfgate", env!("CARGO_BIN_EXE_perfgate"), &args);
+    let stdout = run_timed("perfgate", env!("CARGO_BIN_EXE_perfgate"), &args);
     assert!(stdout.contains("perf gate OK"), "unexpected output:\n{stdout}");
     let json = std::fs::read_to_string(&out).expect("perfgate wrote BENCH_PR.json");
     let _ = std::fs::remove_file(&out);
@@ -175,6 +195,6 @@ fn smoke_tests_cover_every_orchestrated_binary() {
 fn reproduce_all_smoke() {
     // End-to-end: the orchestrator finds its sibling binaries and drives
     // every experiment at smoke scale.
-    let out = run_ok("reproduce_all", env!("CARGO_BIN_EXE_reproduce_all"), &["--smoke"]);
+    let out = run_timed("reproduce_all", env!("CARGO_BIN_EXE_reproduce_all"), &["--smoke"]);
     assert!(out.contains("All experiments reproduced"), "unexpected output:\n{out}");
 }

@@ -4,12 +4,16 @@
 //! resident inside a protected transform: they locate and *repair* a
 //! corrupted element, but the repair reconstructs the value arithmetically
 //! — exact only to round-off. Cold data (ring-buffered history, staged
-//! pipeline frames) has a stronger option available: the original bits
-//! still exist upstream, so detection alone suffices and the recovery path
-//! can *recompute bitwise*. A CRC is the right tool for that regime —
-//! cheap (one table lookup per byte), detects every single-bit error and
-//! every burst up to 32 bits, and says nothing about the value's
-//! arithmetic meaning because it doesn't need to.
+//! pipeline frames) does not need arithmetic at all: it is guarded through
+//! its bit representation. A CRC is the detector for that regime — cheap,
+//! detects every single-bit error and every burst up to 32 bits, and says
+//! nothing about the value's arithmetic meaning because it doesn't need
+//! to. Repair also works on the bits: the pipeline's cold ring keeps an
+//! XOR parity over the words' bit patterns beside the CRC, which restores
+//! a single struck word *exactly* (XOR has no round-off), and the CRC then
+//! verifies the repaired frame. Where the parity cannot place the strike,
+//! the original bits still exist upstream and the frame is recomputed
+//! bitwise.
 //!
 //! This module implements the reflected CRC-32 with polynomial
 //! `0xEDB88320` (zlib/PNG/Ethernet) in two interchangeable kernels that
@@ -39,8 +43,9 @@
 //! helpers for `f64` buffers (hashing the IEEE-754 bit patterns, so two
 //! buffers agree iff they are bitwise identical — `0.0` vs `-0.0` and NaN
 //! payloads included). The cold-ring guard hashes two full frames per
-//! stored frame and re-hashes one at delivery, so the guard runs at the
-//! fold's memory speed rather than the tables' byte rate.
+//! stored frame and re-hashes one at delivery (a second time after an
+//! in-place repair), so the guard runs at the fold's memory speed rather
+//! than the tables' byte rate.
 
 /// The reflected CRC-32 polynomial `P(x)` (IEEE 802.3).
 const POLY: u32 = 0xEDB8_8320;

@@ -21,10 +21,15 @@
 //!    ([`std::panic::catch_unwind`]) and the frame re-run up to
 //!    `max_retries` times (stages are pure, so a successful retry is
 //!    bitwise identical);
-//! 3. **CRC detect + bitwise recompute** — corruption of *cold* frames
-//!    waiting in the ring is caught at delivery by CRC-32 and healed by
-//!    recomputing from the CRC-verified retained input;
-//! 4. **quarantine with accounting** — a frame that exhausts the ladder
+//! 3. **CRC detect + in-place parity repair** — corruption of *cold*
+//!    frames waiting in the ring is caught at delivery by CRC-32; a
+//!    single struck word is located by the slot's two-dimensional XOR
+//!    parity and flipped back, and the frame ships only if its re-sealed
+//!    CRC verifies;
+//! 4. **bitwise recompute** — a cold strike the parity cannot place
+//!    (several words, or a struck parity word) is healed by recomputing
+//!    from the CRC-verified retained input;
+//! 5. **quarantine with accounting** — a frame that exhausts the ladder
 //!    is dropped and *counted* ([`PipelineReport::dropped`]); delivery of
 //!    corrupt data is never an outcome.
 //!
@@ -60,7 +65,8 @@ pub struct DeliveredFrame {
     /// Processed output samples.
     pub samples: Vec<f64>,
     /// `true` when the frame went through a recovery path (CRC-detected
-    /// corruption healed by bitwise recompute) before delivery.
+    /// corruption healed in place by the parity or by bitwise recompute)
+    /// before delivery.
     pub recovered: bool,
 }
 
@@ -243,13 +249,16 @@ impl ProtectedPipeline {
         let ingest = &mut self.ingest;
         let next_seq = &mut self.next_seq;
         self.sync.push(bytes, &mut |frame: Vec<f64>| {
-            let mut data = Vec::with_capacity(hist_len + frame.len());
-            data.extend_from_slice(history);
-            data.extend_from_slice(&frame);
-            if hist_len > 0 {
+            let data = if hist_len == 0 {
+                frame
+            } else {
+                let mut data = Vec::with_capacity(hist_len + frame.len());
+                data.extend_from_slice(history);
+                data.extend_from_slice(&frame);
                 history.clear();
                 history.extend_from_slice(&data[data.len() - hist_len..]);
-            }
+                data
+            };
             let seq = *next_seq;
             *next_seq += 1;
             if ingest.push(SyncedFrame { seq, data }) == PushOutcome::Dropped {
@@ -328,7 +337,7 @@ impl ProtectedPipeline {
                 self.record_ft_events(&ft, frame.seq);
                 self.transform.ft.merge(&ft);
                 self.transform.processed += 1;
-                self.cold.store(frame.seq, &frame.data, &self.out_buf);
+                self.cold.store(frame.seq, frame.data, &self.out_buf);
                 self.cold.corrupt_back(mem);
             }
             None => {
@@ -356,12 +365,12 @@ impl ProtectedPipeline {
             let verdict = self.cold.verify_front()?;
             let front_seq = self.cold.front_seq().expect("verdict implies a front slot");
             match verdict {
-                FrontVerdict::OutputOk => {
-                    let (seq, samples) = self.cold.pop_front().expect("verified front");
-                    self.sink.delivered += 1;
-                    self.sink.samples_out += samples.len() as u64;
-                    timer.stop(&self.obs_deliver);
-                    return Some(DeliveredFrame { seq, samples, recovered: false });
+                FrontVerdict::OutputOk => return Some(self.deliver_front(false, timer)),
+                FrontVerdict::CorrectedInPlace => {
+                    // One cold-slot CRC detection, healed by the parity.
+                    self.recorder.record(EventKind::FaultDetected, front_seq);
+                    self.recorder.record(EventKind::FaultCorrected, front_seq);
+                    return Some(self.deliver_front(true, timer));
                 }
                 FrontVerdict::RecomputeFromInput => {
                     // One cold-slot CRC detection behind this verdict.
@@ -385,12 +394,7 @@ impl ProtectedPipeline {
                             self.transform.ft.merge(&ft);
                             self.cold.replace_front_output(&self.out_buf);
                             self.recorder.record(EventKind::FaultCorrected, front_seq);
-                            let (seq, samples) = self.cold.pop_front().expect("recomputed front");
-                            self.sink.delivered += 1;
-                            self.sink.recovered += 1;
-                            self.sink.samples_out += samples.len() as u64;
-                            timer.stop(&self.obs_deliver);
-                            return Some(DeliveredFrame { seq, samples, recovered: true });
+                            return Some(self.deliver_front(true, timer));
                         }
                         None => {
                             self.cold.quarantine_front();
@@ -406,6 +410,17 @@ impl ProtectedPipeline {
                 }
             }
         }
+    }
+
+    /// Pops the verified front slot into a [`DeliveredFrame`], counting it
+    /// at the sink.
+    fn deliver_front(&mut self, recovered: bool, timer: Timer) -> DeliveredFrame {
+        let (seq, samples) = self.cold.pop_front().expect("verified front");
+        self.sink.delivered += 1;
+        self.sink.recovered += u64::from(recovered);
+        self.sink.samples_out += samples.len() as u64;
+        timer.stop(&self.obs_deliver);
+        DeliveredFrame { seq, samples, recovered }
     }
 
     /// Convenience driver: ingests `bytes`, then alternates pumping and
@@ -464,6 +479,7 @@ mod tests {
     use super::sync::encode_stream;
     use super::*;
     use ftfft_core::{FtConfig, Scheme};
+    use ftfft_fault::bytes::{ByteRegion, RandomByteInjector};
     use ftfft_fault::{NoByteFaults, NoFaults, PanicInjector, PanicPoint};
     use ftfft_fft::Direction;
     use ftfft_numeric::uniform_signal;
@@ -598,9 +614,31 @@ mod tests {
         assert_eq!(rec.total(EventKind::WorkerPanic), rep.transform.panics_caught);
     }
 
+    /// Random single-word cold strikes (healed in place by the parity),
+    /// plus two more output words on every fifth frame (beyond the parity:
+    /// recompute) and a struck retained input on every seventh (harmless
+    /// unless the parity cannot heal the output: then quarantine).
+    struct LadderChaos(RandomByteInjector);
+
+    impl ByteFaultInjector for LadderChaos {
+        fn corrupt_words(&self, region: ByteRegion, words: &mut [f64]) -> usize {
+            let scripted = match region {
+                ByteRegion::ColdSlot { seq } => seq % 5 == 2,
+                ByteRegion::Retention { seq } => seq % 7 == 3,
+                ByteRegion::RawStream => false,
+            };
+            if scripted {
+                for i in [1, 9] {
+                    words[i] = f64::from_bits(words[i].to_bits() ^ (1 << 62));
+                }
+            }
+            self.0.corrupt_words(region, words) + usize::from(scripted)
+        }
+    }
+
     #[test]
     fn flight_recorder_reconciles_under_chaos() {
-        use ftfft_fault::bytes::{ByteFaultKind, ByteRegion, RandomByteInjector};
+        use ftfft_fault::bytes::ByteFaultKind;
         use ftfft_fault::{RandomInjector, RandomKind, Site};
         let mut p = PipelineBuilder::new(&spec(64, Scheme::OnlineMemOpt))
             .queue_capacity(3)
@@ -611,8 +649,10 @@ mod tests {
         let stream = encode_stream(&signal, 64);
         let comp = RandomInjector::new(42, 0.10, RandomKind::BitFlipInRange { lo: 52, hi: 62 }, 8)
             .with_site_filter(|s| matches!(s, Site::SubFftCompute { .. }));
-        let mem = RandomByteInjector::new(99, 0.35, ByteFaultKind::BitFlip, 8)
-            .with_region_filter(|r| matches!(r, ByteRegion::ColdSlot { .. }));
+        let mem = LadderChaos(
+            RandomByteInjector::new(99, 0.35, ByteFaultKind::BitFlip, 8)
+                .with_region_filter(|r| matches!(r, ByteRegion::ColdSlot { .. })),
+        );
         let panics = PanicInjector::new(comp, vec![PanicPoint::any(3)]);
         let mut sink = Vec::new();
         with_quiet_panics(|| {
@@ -622,6 +662,11 @@ mod tests {
         });
         let rep = p.report();
         assert!(rep.detected() > 0, "campaign must actually strike: {rep:?}");
+        // Every rung of the cold ladder ran: in-place heal, recompute,
+        // and quarantine.
+        assert!(rep.cold.corrected > 0, "{rep:?}");
+        assert!(rep.cold.recomputed > 0, "{rep:?}");
+        assert!(rep.cold.quarantined > 0, "{rep:?}");
         assert_recorder_reconciles(&p);
         if ftfft_obs::enabled() {
             let trail = p.recorder().trail();

@@ -61,7 +61,11 @@ pub struct ColdStats {
     pub crc_detected: u64,
     /// Retained-input corruptions detected by CRC (recompute source lost).
     pub retention_detected: u64,
-    /// Frames recomputed bitwise from retained input after CRC detection.
+    /// Frames healed in place after CRC detection: the XOR parity located
+    /// one struck output word, and the re-sealed CRC verified the fix.
+    pub corrected: u64,
+    /// Frames recomputed bitwise from retained input after CRC detection
+    /// (strikes the parity could not place).
     pub recomputed: u64,
     /// Frames quarantined because both output and retained input were bad
     /// (or recompute kept failing).
@@ -105,9 +109,10 @@ impl PipelineReport {
     }
 
     /// Total faults corrected: ABFT repairs/recomputes inside the
-    /// transforms plus bitwise frame recomputes from retained input.
+    /// transforms plus cold frames healed in place or recomputed bitwise
+    /// from retained input.
     pub fn corrected(&self) -> u64 {
-        self.transform.ft.total_corrected() as u64 + self.cold.recomputed
+        self.transform.ft.total_corrected() as u64 + self.cold.corrected + self.cold.recomputed
     }
 
     /// Frames lost anywhere — shed at the ingest queue or quarantined by
@@ -144,7 +149,8 @@ impl PipelineReport {
              \"transform.ft.comm_corrected\": {},\n  \"transform.ft.uncorrectable\": {},\n  \
              \"cold.capacity\": {},\n  \"cold.stored\": {},\n  \"cold.high_water\": {},\n  \
              \"cold.crc_checks\": {},\n  \"cold.crc_detected\": {},\n  \
-             \"cold.retention_detected\": {},\n  \"cold.recomputed\": {},\n  \
+             \"cold.retention_detected\": {},\n  \"cold.corrected\": {},\n  \
+             \"cold.recomputed\": {},\n  \
              \"cold.quarantined\": {},\n  \"sink.delivered\": {},\n  \"sink.recovered\": {},\n  \
              \"sink.samples_out\": {},\n  \"detected\": {},\n  \"corrected\": {},\n  \
              \"dropped\": {}\n}}\n",
@@ -176,6 +182,7 @@ impl PipelineReport {
             c.crc_checks,
             c.crc_detected,
             c.retention_detected,
+            c.corrected,
             c.recomputed,
             c.quarantined,
             k.delivered,
@@ -217,6 +224,7 @@ impl PipelineReport {
         c.crc_checks = c.crc_checks.saturating_add(other.cold.crc_checks);
         c.crc_detected = c.crc_detected.saturating_add(other.cold.crc_detected);
         c.retention_detected = c.retention_detected.saturating_add(other.cold.retention_detected);
+        c.corrected = c.corrected.saturating_add(other.cold.corrected);
         c.recomputed = c.recomputed.saturating_add(other.cold.recomputed);
         c.quarantined = c.quarantined.saturating_add(other.cold.quarantined);
 
@@ -237,7 +245,8 @@ mod tests {
         a.transform.ft.comp_detected = 2;
         a.transform.ft.subfft_recomputed = 2;
         a.cold.crc_detected = 3;
-        a.cold.recomputed = 3;
+        a.cold.corrected = 2;
+        a.cold.recomputed = 1;
         a.ingest.dropped = 1;
         assert_eq!(a.detected(), 5);
         assert_eq!(a.corrected(), 5);
@@ -249,8 +258,12 @@ mod tests {
         b.cold.quarantined = 1;
         b.ingest.high_water = 9;
         b.transform.panics_caught = 4;
+        b.cold.crc_detected = 1;
+        b.cold.corrected = 1;
         a.merge(&b);
-        assert_eq!(a.detected(), 6);
+        assert_eq!(a.detected(), 7);
+        assert_eq!(a.corrected(), 6);
+        assert_eq!(a.cold.corrected, 3);
         assert_eq!(a.dropped(), 2);
         assert_eq!(a.ingest.high_water, 9);
         assert_eq!(a.transform.panics_caught, 4);
@@ -265,12 +278,14 @@ mod tests {
         r.transform.ft.comp_detected = 2;
         r.transform.ft.subfft_recomputed = 2;
         r.ingest.dropped = 1;
+        r.cold.corrected = 4;
         let json = r.to_flat_json();
         assert!(json.contains("\"sync.frames_synced\": 7"));
         assert!(json.contains("\"sync.locked\": 1"));
         assert!(json.contains("\"transform.ft.comp_detected\": 2"));
         assert!(json.contains("\"detected\": 2"));
-        assert!(json.contains("\"corrected\": 2"));
+        assert!(json.contains("\"cold.corrected\": 4"));
+        assert!(json.contains("\"corrected\": 6"));
         assert!(json.contains("\"dropped\": 1"));
         assert_eq!(json.matches('{').count(), 1);
         assert_eq!(json.matches('}').count(), 1);

@@ -194,8 +194,8 @@ proptest! {
             comp,
             vec![PanicPoint::any(3), PanicPoint::any(700), PanicPoint::any(2100)],
         );
-        // Memory strikes on the CRC-guarded cold outputs only (retained
-        // inputs stay intact so recovery is always bitwise recompute).
+        // Single-word memory strikes on the CRC-guarded cold outputs only:
+        // each is located by the slot's XOR parity and healed in place.
         let mem = RandomByteInjector::new(seed ^ 0xDEAD, 0.4, ByteFaultKind::BitFlip, 4)
             .with_region_filter(|r| matches!(r, ByteRegion::ColdSlot { .. }));
 
@@ -211,11 +211,13 @@ proptest! {
         }
 
         // Accounting: nothing dropped, every cold strike detected and
-        // healed, every caught panic retried into success.
+        // healed in place (none needed a recompute), every caught panic
+        // retried into success.
         prop_assert_eq!(rep.dropped(), 0, "{:?}", rep);
         let mem_fired = mem.fired() as u64;
         prop_assert_eq!(rep.cold.crc_detected, mem_fired);
-        prop_assert_eq!(rep.cold.recomputed, mem_fired);
+        prop_assert_eq!(rep.cold.corrected, mem_fired);
+        prop_assert_eq!(rep.cold.recomputed, 0);
         prop_assert_eq!(rep.sink.recovered, mem_fired);
         prop_assert_eq!(rep.transform.panics_caught, rep.transform.retries);
         prop_assert!(chaos.panics_fired() >= 1, "campaign fired no panic");
