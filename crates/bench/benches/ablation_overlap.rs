@@ -21,14 +21,7 @@ fn bench(c: &mut Criterion) {
     ];
     for (net_label, net) in nets {
         for scheme in [ParallelScheme::FtFftw, ParallelScheme::OptFtFftw] {
-            let plan = ParallelFft::new(
-                n,
-                p,
-                scheme,
-                Some(*net),
-                SignalDist::Uniform.component_std_dev(),
-                3,
-            );
+            let plan = ParallelFft::new(n, p, scheme, Some(*net), 3);
             let x = uniform_signal(n, 42);
             let id = format!("{net_label}/{}", scheme.label());
             group.bench_function(BenchmarkId::from_parameter(id), |b| {

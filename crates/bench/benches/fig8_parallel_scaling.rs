@@ -11,14 +11,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_parallel_scaling");
     group.sample_size(10);
     for scheme in ParallelScheme::ALL {
-        let plan = ParallelFft::new(
-            n,
-            p,
-            scheme,
-            Some(NetworkModel::cluster()),
-            SignalDist::Uniform.component_std_dev(),
-            3,
-        );
+        let plan = ParallelFft::new(n, p, scheme, Some(NetworkModel::cluster()), 3);
         let x = uniform_signal(n, 42);
         group.bench_function(BenchmarkId::from_parameter(scheme.label()), |b| {
             b.iter(|| {

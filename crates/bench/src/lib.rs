@@ -380,7 +380,7 @@ pub fn time_parallel(
     runs: usize,
     make_faults: impl Fn() -> Vec<ScriptedFault>,
 ) -> f64 {
-    let plan = ParallelFft::new(n, p, scheme, network, SignalDist::Uniform.component_std_dev(), 3);
+    let plan = ParallelFft::new(n, p, scheme, network, 3);
     let x = uniform_signal(n, 42);
     median_secs(runs, || {
         let inj = ScriptedInjector::new(make_faults());

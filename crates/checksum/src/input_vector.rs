@@ -12,7 +12,14 @@
 //! `sin`/`cos` per element; the *optimized* generator advances `ω_n^t`
 //! incrementally by one complex multiplication (27N ops in the paper's
 //! accounting), re-anchoring periodically so the drift stays below the
-//! detection thresholds.
+//! detection thresholds. Drift matters most beside the pole
+//! (`ω₃ ω_n^t ≈ 1`, at `t ≈ n/3` forward and `2n/3` inverse), where the
+//! denominator `1 − ω₃ ω_n^t` is small and its relative error is amplified
+//! up to ~`n/2`-fold, so the two entries next to the pole are re-anchored
+//! too: periodic anchors alone let a 64-point vector meet its inverse pole
+//! 43 steps past an anchor, which runs clean 2¹² checks at up to 0.92 of η;
+//! with the pole anchors every clean check at 2⁴–2¹⁶ stays below 0.35 of η
+//! (EXPERIMENTS.md).
 
 use ftfft_fft::Direction;
 use ftfft_numeric::{cis, omega3, omega3_pow, Complex64};
@@ -35,7 +42,7 @@ fn degenerate_index(n: usize, dir: Direction) -> Option<usize> {
 }
 
 /// Optimized closed-form generator (incremental `ω_n^t`, re-anchored every
-/// 64 steps). This is the paper's 27N-operation path.
+/// 64 steps and beside the pole). This is the paper's 27N-operation path.
 pub fn input_checksum_vector(n: usize, dir: Direction) -> Vec<Complex64> {
     let mut out = vec![Complex64::ZERO; n];
     input_checksum_vector_into(n, dir, &mut out);
@@ -58,12 +65,23 @@ pub fn input_checksum_vector_into(n: usize, dir: Direction, out: &mut [Complex64
     let step = cis(step_angle);
 
     const RESYNC: usize = 64;
+    // The two entries beside where `ω₃ ω_n^t = 1` would fall for a real
+    // `t` (n/3 forward, 2n/3 inverse).
+    let pole = match dir {
+        Direction::Forward => n,
+        Direction::Inverse => 2 * n,
+    };
+    let beside_pole = |t: usize| (3 * t).abs_diff(pole) < 3;
     for (chunk_i, chunk) in out[..n].chunks_mut(RESYNC).enumerate() {
         // Re-anchor the phase to keep incremental drift bounded.
         let t0 = chunk_i * RESYNC;
         let mut wt = w3 * cis(step_angle * t0 as f64);
         for (b, slot) in chunk.iter_mut().enumerate() {
-            *slot = if Some(t0 + b) == degen {
+            let t = t0 + b;
+            if beside_pole(t) {
+                wt = w3 * cis(step_angle * t as f64);
+            }
+            *slot = if Some(t) == degen {
                 Complex64::new(n as f64, 0.0)
             } else {
                 numer / (Complex64::ONE - wt)

@@ -41,8 +41,9 @@ use ftfft_checksum::{
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Site};
 use ftfft_fft::TwoLayerScratch;
+use ftfft_numeric::simd::EnergyAcc;
 use ftfft_numeric::Complex64;
-use ftfft_roundoff::batch_thresholds;
+use ftfft_roundoff::{batch_thresholds, input_sigma};
 
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
@@ -215,11 +216,13 @@ pub(crate) fn run(
     // while *it* is still hot — the add-only sweeps ride the member
     // FFT's own memory traffic instead of re-streaming the batch. Side 2
     // is not touched here: its combine + FFT are paid only if side 1
-    // flags a fault.
+    // flags a fault. The side-1 input combine also sums the members'
+    // energies (the batch's σ̂) in the same pass.
     bw.c1.fill(Complex64::ZERO);
     bw.acc1.fill(Complex64::ZERO);
+    let mut energy = EnergyAcc::new();
     for j in 0..b {
-        batch_accumulate_side1(&mut bw.c1, xs[j]);
+        energy.add_assign(&mut bw.c1, xs[j]);
         plan.two().execute(xs[j], outs[j], &mut s);
         member_injector(injectors, j).inject(ctx, Site::BatchMemberOutput { index: j }, outs[j]);
         batch_accumulate_side1(&mut bw.acc1, outs[j]);
@@ -230,10 +233,17 @@ pub(crate) fn run(
 
     // Detection thresholds: the combined signals carry the weight-vector
     // variance, so their round-off floor scales with ‖w‖₂ (§8 model
-    // extended to the batch identity), times the plan's empirical scale.
+    // extended to the batch identity), at the members' measured σ̂ and
+    // times the plan's empirical scale. A batch with no finite scale
+    // skips the joint check and runs its members singly.
+    let sigma = input_sigma(energy.finish(), b * n);
+    if !sigma.is_finite() {
+        restore(ws, s, bw);
+        return run_singly(plan, xs, outs, injectors, reports, ws);
+    }
     let (w1sq, w2sq) = batch_weight_norms_sq(b);
-    let (eta1, eta2) = batch_thresholds(n, plan.cfg().sigma0, w1sq, w2sq);
-    let scale = plan.cfg().threshold_scale;
+    let (eta1, eta2) = batch_thresholds(n, 1.0, w1sq, w2sq);
+    let scale = sigma * plan.cfg().threshold_scale;
     let (eta1, eta2) = (eta1 * scale, eta2 * scale);
 
     // Verify → localize → repair → re-verify, bounded by max_retries.
@@ -330,8 +340,35 @@ pub(crate) fn run(
         attempt += 1;
     }
 
+    restore(ws, s, bw);
+}
+
+/// Hands the borrowed scratch and batch storage back to the workspace.
+fn restore(ws: &mut Workspace, s: TwoLayerScratch, bw: Box<BatchWorkspace>) {
     ws.y = s.y;
     ws.buf = s.buf;
     ws.fft = s.fft;
     ws.batch = Some(bw);
+}
+
+/// Runs every member under the repair plan on its own — the path of a
+/// batch whose inputs have no finite scale σ̂ (a NaN/±Inf member, or an
+/// energy sum that overflows). Nothing in such a batch can be verified
+/// jointly, so each member gets its own verdict: the members without a
+/// finite scale fail closed and the rest are protected as usual.
+fn run_singly(
+    plan: &FtFftPlan,
+    xs: &[&[Complex64]],
+    outs: &mut [&mut [Complex64]],
+    injectors: &[&dyn FaultInjector],
+    reports: &mut [FtReport],
+    ws: &mut Workspace,
+) {
+    let repair = plan.repair_plan().expect("batch plan carries a repair plan");
+    let bw = ws.batch.as_mut().expect("batch workspace (built by make_workspace)");
+    for (j, x) in xs.iter().enumerate() {
+        bw.xrep.copy_from_slice(x);
+        let inj = member_injector(injectors, j);
+        reports[j] = repair.execute(&mut bw.xrep, outs[j], inj, &mut bw.repair_ws);
+    }
 }

@@ -182,10 +182,9 @@ pub struct FtConfig {
     /// declared uncorrectable (the paper's `while` loops retry forever;
     /// transient-fault semantics make a small bound equivalent).
     pub max_retries: u32,
-    /// Input component standard deviation σ₀ used by the threshold model
-    /// (1/√3 for the paper's `U(-1,1)` workload).
-    pub sigma0: f64,
     /// Multiplier applied to all model thresholds (empirical calibration).
+    /// The input scale needs no knob: every execution measures σ̂ from its
+    /// own input and evaluates the §8 model there.
     pub threshold_scale: f64,
     /// Explicit first-layer count `k` (None = balanced split).
     pub split_k: Option<usize>,
@@ -200,24 +199,17 @@ pub struct FtConfig {
 }
 
 impl FtConfig {
-    /// Defaults for a scheme: 3 retries, `U(-1,1)` σ₀, no scaling, balanced
-    /// split, `s = 8`.
+    /// Defaults for a scheme: 3 retries, no scaling, balanced split,
+    /// `s = 8`.
     pub fn new(scheme: Scheme) -> Self {
         FtConfig {
             scheme,
             max_retries: 3,
-            sigma0: (1.0f64 / 3.0).sqrt(),
             threshold_scale: 1.0,
             split_k: None,
             batch_s: 8,
             threads: None,
         }
-    }
-
-    /// Overrides the input σ₀.
-    pub fn with_sigma0(mut self, sigma0: f64) -> Self {
-        self.sigma0 = sigma0;
-        self
     }
 
     /// Overrides the threshold scale factor.
@@ -255,7 +247,7 @@ impl FtConfig {
 /// Unset knobs resolve in the fixed order **explicit builder > env/forced
 /// override > heuristic**, applied once at plan-build time by
 /// [`PlanSpec::resolve`] — a built plan never re-reads the environment.
-/// `Hash`/`Eq` are bit-exact (the `f64` threshold knobs compare by bits),
+/// `Hash`/`Eq` are bit-exact (the `f64` threshold scale compares by bits),
 /// so two specs are equal exactly when they build interchangeable plans.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanSpec {
@@ -274,7 +266,6 @@ pub struct PlanSpec {
     max_retries: u32,
     batch_s: usize,
     split_k: Option<usize>,
-    sigma0: f64,
     threshold_scale: f64,
 }
 
@@ -303,7 +294,6 @@ impl PlanSpec {
             max_retries: cfg.max_retries,
             batch_s: cfg.batch_s,
             split_k: cfg.split_k,
-            sigma0: cfg.sigma0,
             threshold_scale: cfg.threshold_scale,
         }
     }
@@ -367,7 +357,6 @@ impl PlanSpec {
         FtConfig {
             scheme: self.scheme,
             max_retries: self.max_retries,
-            sigma0: self.sigma0,
             threshold_scale: self.threshold_scale,
             split_k: self.split_k,
             batch_s: self.batch_s,
@@ -393,13 +382,6 @@ impl PlanSpec {
     /// plan's own spec, keeping every planner/threshold knob aligned).
     pub fn with_scheme(mut self, scheme: Scheme) -> PlanSpec {
         self.scheme = scheme;
-        self
-    }
-
-    /// Same spec with a different σ₀ (the stream plans scale σ₀ by window
-    /// energy).
-    pub fn with_sigma0(mut self, sigma0: f64) -> PlanSpec {
-        self.sigma0 = sigma0;
         self
     }
 
@@ -459,17 +441,12 @@ impl PlanSpec {
         self.split_k
     }
 
-    /// Input component standard deviation σ₀.
-    pub fn sigma0(&self) -> f64 {
-        self.sigma0
-    }
-
     /// Threshold scale factor.
     pub fn threshold_scale(&self) -> f64 {
         self.threshold_scale
     }
 
-    /// Everything that distinguishes two specs, with the `f64` knobs in
+    /// Everything that distinguishes two specs, with the `f64` knob in
     /// bit form so the derived-looking `Eq`/`Hash` below are total.
     #[allow(clippy::type_complexity)]
     fn key(
@@ -477,12 +454,12 @@ impl PlanSpec {
     ) -> (
         (usize, Direction, Scheme, Option<Pow2Kernel>, Option<Layout>, Option<Strategy>),
         (Option<usize>, Option<SimdLevel>, u32, usize, Option<usize>),
-        (u64, u64),
+        u64,
     ) {
         (
             (self.n, self.dir, self.scheme, self.kernel, self.layout, self.strategy),
             (self.threads, self.simd, self.max_retries, self.batch_s, self.split_k),
-            (self.sigma0.to_bits(), self.threshold_scale.to_bits()),
+            self.threshold_scale.to_bits(),
         )
     }
 }
@@ -558,12 +535,6 @@ impl PlanSpecBuilder {
         self
     }
 
-    /// Overrides the input σ₀.
-    pub fn sigma0(mut self, sigma0: f64) -> Self {
-        self.spec.sigma0 = sigma0;
-        self
-    }
-
     /// Overrides the threshold scale factor.
     pub fn threshold_scale(mut self, s: f64) -> Self {
         self.spec.threshold_scale = s;
@@ -611,12 +582,10 @@ mod tests {
     #[test]
     fn config_builders() {
         let c = FtConfig::new(Scheme::OnlineMemOpt)
-            .with_sigma0(1.0)
             .with_threshold_scale(2.0)
             .with_split_k(64)
             .with_max_retries(5)
             .with_threads(4);
-        assert_eq!(c.sigma0, 1.0);
         assert_eq!(c.threshold_scale, 2.0);
         assert_eq!(c.split_k, Some(64));
         assert_eq!(c.max_retries, 5);
@@ -668,7 +637,6 @@ mod tests {
             .strategy(Strategy::Serial)
             .threads(4)
             .max_retries(5)
-            .sigma0(1.0)
             .threshold_scale(2.0)
             .split_k(64)
             .batch_s(16)
@@ -681,7 +649,6 @@ mod tests {
         assert_eq!(spec.strategy(), Some(Strategy::Serial));
         assert_eq!(spec.threads(), Some(4));
         assert_eq!(spec.max_retries(), 5);
-        assert_eq!(spec.sigma0(), 1.0);
         assert_eq!(spec.threshold_scale(), 2.0);
         assert_eq!(spec.split_k(), Some(64));
         assert_eq!(spec.batch_s(), 16);
@@ -731,7 +698,6 @@ mod tests {
             base().strategy(Strategy::Serial).build(),
             base().threads(2).build(),
             base().max_retries(9).build(),
-            base().sigma0(0.25).build(),
             base().threshold_scale(3.0).build(),
             base().split_k(32).build(),
             base().batch_s(4).build(),

@@ -21,8 +21,11 @@ use ftfft_checksum::{
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_fft::{Direction, Planner, ThreeLayerPlan};
 use ftfft_numeric::complex::c64;
-use ftfft_numeric::Complex64;
-use ftfft_roundoff::{checksum_roundoff_std, checksum_roundoff_std_second, F64_MANTISSA_BITS};
+use ftfft_numeric::{simd, Complex64};
+use ftfft_roundoff::{
+    checksum_roundoff_std, checksum_roundoff_std_second, input_sigma, memory_sum_roundoff_std,
+    F64_MANTISSA_BITS, HEADROOM, MEMORY_HEADROOM,
+};
 
 use crate::dmr::dmr_generate_ra_into;
 use crate::report::FtReport;
@@ -33,11 +36,11 @@ pub struct InPlaceFtPlan {
     three: ThreeLayerPlan,
     dir: Direction,
     max_retries: u32,
-    /// η for layer-A k-point FFTs.
+    /// η for layer-A k-point FFTs, at unit input scale.
     eta_a: f64,
-    /// η for layer-C k-point FFTs.
+    /// η for layer-C k-point FFTs, at unit input scale.
     eta_c: f64,
-    /// Tolerance for chunk memory sums.
+    /// Tolerance for chunk memory sums, at unit input scale.
     eta_mem: f64,
 }
 
@@ -63,26 +66,19 @@ pub struct InPlaceWorkspace {
 }
 
 impl InPlaceFtPlan {
-    /// Plans a protected in-place FFT. `sigma_in` is the standard deviation
-    /// of the (complex-component) input this transform will see — for the
-    /// parallel FFT 2 that is `√p·σ₀` after the p-point first stage.
-    pub fn new(n: usize, dir: Direction, sigma_in: f64, max_retries: u32) -> Self {
+    /// Plans a protected in-place FFT. Its thresholds are the §8 model at
+    /// unit input scale; each execution scales them by the σ̂ of the data
+    /// it is handed.
+    pub fn new(n: usize, dir: Direction, max_retries: u32) -> Self {
         let planner = Planner::new();
         let three = ThreeLayerPlan::new(&planner, n, dir);
         let k = three.k();
         let r = three.r();
         let t = F64_MANTISSA_BITS;
-        // Same calibration headroom as `thresholds_for_split`: the 3σ model
-        // bound sits within ~2× of observed fault-free residuals.
-        const HEADROOM: f64 = 4.0;
-        let eta_a = HEADROOM * 3.0 * (k as f64).sqrt() * checksum_roundoff_std(k, sigma_in, t);
-        let eta_c = HEADROOM
-            * 3.0
-            * (k as f64).sqrt()
-            * checksum_roundoff_std_second(k, r * k, sigma_in, t);
-        let eta_mem = 6.0
-            * ftfft_roundoff::memory_sum_roundoff_std(r * k, (k as f64).sqrt() * sigma_in, t)
-                .max(f64::EPSILON);
+        let sqrt_k = (k as f64).sqrt();
+        let eta_a = HEADROOM * 3.0 * sqrt_k * checksum_roundoff_std(k, 1.0, t);
+        let eta_c = HEADROOM * 3.0 * sqrt_k * checksum_roundoff_std_second(k, r * k, 1.0, t);
+        let eta_mem = MEMORY_HEADROOM * memory_sum_roundoff_std(r * k, sqrt_k, t).max(f64::EPSILON);
         InPlaceFtPlan { n, three, dir, max_retries, eta_a, eta_c, eta_mem }
     }
 
@@ -96,12 +92,12 @@ impl InPlaceFtPlan {
         &self.three
     }
 
-    /// Layer-A detection threshold.
+    /// Layer-A detection threshold at unit input scale.
     pub fn eta_a(&self) -> f64 {
         self.eta_a
     }
 
-    /// Layer-C detection threshold.
+    /// Layer-C detection threshold at unit input scale.
     pub fn eta_c(&self) -> f64 {
         self.eta_c
     }
@@ -157,6 +153,15 @@ impl InPlaceFtPlan {
         if let Some(cks) = input_ck {
             assert_eq!(cks.len(), p, "need one input pair per layer-A sub-FFT");
         }
+        // σ̂ of the data handed in, before its input-memory window; no
+        // finite scale means no threshold, so the run fails closed.
+        let sigma = input_sigma(simd::energy(data), self.n);
+        if !sigma.is_finite() {
+            let rep = FtReport::unverifiable(data);
+            return (rep, mem_checksum(data));
+        }
+        let (eta_a, eta_c, eta_mem) =
+            (sigma * self.eta_a, sigma * self.eta_c, sigma * self.eta_mem);
 
         dmr_generate_ra_into(
             k,
@@ -199,7 +204,7 @@ impl InPlaceFtPlan {
                     &mut ws.buf[..k],
                 );
                 rep.checks += 1;
-                let o = ccv(&ws.buf[..k], stored.sum1, self.eta_a);
+                let o = ccv(&ws.buf[..k], stored.sum1, eta_a);
                 if o.ok {
                     rep.note_ok_residual_part1(o.residual);
                     if saw_error && !mem_fixed {
@@ -219,7 +224,7 @@ impl InPlaceFtPlan {
                     // Iterated so huge deltas converge (see memory_ft_opt).
                     rep.checks += 1;
                     let observed = combined_checksum(&ws.backup[..k], &ws.ra_k);
-                    match combined_decode(observed, stored, &ws.ra_k, k, self.eta_a) {
+                    match combined_decode(observed, stored, &ws.ra_k, k, eta_a) {
                         MemVerdict::Located { index, delta } => {
                             if !mem_fixed {
                                 rep.mem_detected += 1;
@@ -271,7 +276,7 @@ impl InPlaceFtPlan {
                 MemChecksum { sum: c.sum1, wsum: c.sum2 }
             };
             let observed = mem_checksum(&data[chunk_range.clone()]);
-            match decode(observed, stored, p, self.eta_mem) {
+            match decode(observed, stored, p, eta_mem) {
                 MemVerdict::Clean => {}
                 MemVerdict::Located { index, delta } => {
                     rep.mem_detected += 1;
@@ -309,7 +314,7 @@ impl InPlaceFtPlan {
                         &mut ws.buf[..k],
                     );
                     rep.checks += 1;
-                    let o = ccv(&ws.buf[..k], cx, self.eta_c);
+                    let o = ccv(&ws.buf[..k], cx, eta_c);
                     if o.ok {
                         rep.note_ok_residual_part2(o.residual);
                         break;
@@ -421,7 +426,7 @@ mod tests {
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn run_inplace(n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = InPlaceFtPlan::new(n, Direction::Forward, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = InPlaceFtPlan::new(n, Direction::Forward, 3);
         let mut data = uniform_signal(n, 33);
         let mut ws = plan.make_workspace();
         let (rep, out_ck) = plan.execute(&mut data, inj, &mut ws, 0, None);

@@ -34,7 +34,10 @@ pub(crate) fn run(
     let mut rep = FtReport::new();
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let th = *plan.thresholds();
+    // σ̂ from a streaming pre-pass: the input MCG below is k strided scans.
+    let Some(th) = plan.thresholds_for_energy(ftfft_numeric::simd::energy(x)) else {
+        return FtReport::unverifiable(out);
+    };
 
     dmr_generate_ra_into(
         m,

@@ -46,7 +46,6 @@ pub(crate) fn run(
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
     let n = plan.n();
-    let th = *plan.thresholds();
 
     dmr_generate_ra_into(
         m,
@@ -77,20 +76,28 @@ pub(crate) fn run(
     // enough that both ck arrays stay L1-resident across all m row passes
     // (at k = 1024 an unblocked sweep streams 3×16 KB per row and thrashes
     // a 32 KB L1d). Each accumulator still sees the rows in order, so the
-    // sums do not depend on the block size.
+    // sums do not depend on the block size. The sweep also measures the
+    // input energy for σ̂ while each row slice is in L1 — before the
+    // input-memory window, so a strike cannot widen its own threshold.
     const CMCG_BLOCK: usize = 256;
     ws.ck1[..k].fill(Complex64::ZERO);
     ws.ck2[..k].fill(Complex64::ZERO);
+    let mut energy = simd::EnergyAcc::new();
     let mut b0 = 0usize;
     while b0 < k {
         let b = CMCG_BLOCK.min(k - b0);
         for (t, row) in x.chunks_exact(k).enumerate() {
             let w1 = ra_m[t];
             let w2 = w1.scale((t + 1) as f64);
-            simd::axpy2(&mut ws.ck1[b0..b0 + b], &mut ws.ck2[b0..b0 + b], &row[b0..b0 + b], w1, w2);
+            let seg = &row[b0..b0 + b];
+            simd::axpy2(&mut ws.ck1[b0..b0 + b], &mut ws.ck2[b0..b0 + b], seg, w1, w2);
+            energy.accumulate(seg);
         }
         b0 += b;
     }
+    let Some(th) = plan.thresholds_for_energy(energy.finish()) else {
+        return FtReport::unverifiable(out);
+    };
     for (p, (&s1, &s2)) in ws.in_ck.iter_mut().zip(ws.ck1.iter().zip(&ws.ck2)) {
         *p = CombinedChecksum { sum1: s1, sum2: s2 };
     }

@@ -29,7 +29,9 @@ pub(crate) fn run(
     let ctx = InjectionCtx::default();
     let mut rep = FtReport::new();
     let n = plan.n();
-    let eta = plan.thresholds().eta_offline;
+    let Some(th) = plan.thresholds_for_energy(ftfft_numeric::simd::energy(x)) else {
+        return FtReport::unverifiable(out);
+    };
 
     // Input checksum vector rA (size N!) under DMR, generated into the
     // workspace (no per-call allocation).
@@ -72,14 +74,14 @@ pub(crate) fn run(
         }
         rep.checks += 1;
         let residual = (weighted_sum(out) - stored.sum1).norm();
-        if residual <= eta {
+        if residual <= th.eta_offline {
             rep.note_ok_residual_part1(residual);
             break;
         }
         // Error detected only now — after the whole N-point transform.
         if memory {
             rep.checks += 1;
-            match combined_verify(x, ra, stored, plan.thresholds().eta_mem_in) {
+            match combined_verify(x, ra, stored, th.eta_mem_in) {
                 MemVerdict::Located { index, delta } => {
                     rep.mem_detected += 1;
                     rep.mem_corrected += 1;

@@ -18,14 +18,16 @@
 
 use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
-use ftfft_numeric::simd::DotAcc;
+use ftfft_numeric::simd::{self, DotAcc};
 use ftfft_numeric::Complex64;
 
 use crate::dmr::{dmr_generate_ra_into, dmr_twiddle, dmr_twiddle_into};
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
 
-/// Executes one protected first-part (m-point) sub-FFT: CCG over the
+/// Executes one protected first-part (m-point) sub-FFT against the
+/// per-execution threshold `eta1` (see
+/// [`FtFftPlan::thresholds_for_energy`]): CCG over the
 /// gathered stride-`k` input (fused with the gather when
 /// `plan.fused_part1()`: the sum folds each natural-order block while the
 /// gather stores it in the kernel's input order), the transform, the CCV
@@ -42,6 +44,7 @@ pub fn part1_row(
     plan: &FtFftPlan,
     x: &[Complex64],
     ra_m: &[Complex64],
+    eta1: f64,
     n1: usize,
     optimized: bool,
     row: &mut [Complex64],
@@ -54,7 +57,6 @@ pub fn part1_row(
 ) {
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let eta1 = plan.thresholds().eta1;
     let fused = plan.fused_part1();
     let mut attempts = 0u32;
     loop {
@@ -105,14 +107,16 @@ pub fn part1_row(
 }
 
 /// Executes one protected second-part (k-point) sub-FFT over column `j2`
-/// of the intermediate matrix `y`: gather (+ twiddle DMR in the
-/// unoptimized variant), CCG, transform, CCV retry loop. The finished
-/// column is left in `buf[..k]` for the caller to scatter.
+/// of the intermediate matrix `y` against the threshold `eta2`: gather
+/// (+ twiddle DMR in the unoptimized variant), CCG, transform, CCV retry
+/// loop. The finished column is left in `buf[..k]` for the caller to
+/// scatter.
 #[allow(clippy::too_many_arguments)]
 pub fn part2_col(
     plan: &FtFftPlan,
     y: &[Complex64],
     ra_k: &[Complex64],
+    eta2: f64,
     j2: usize,
     optimized: bool,
     buf: &mut [Complex64],
@@ -124,7 +128,6 @@ pub fn part2_col(
 ) {
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let eta2 = plan.thresholds().eta2;
     let fused = plan.fused_part2();
     let mut attempts = 0u32;
     loop {
@@ -176,6 +179,12 @@ pub(crate) fn run_comp(
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
 
+    // σ̂ needs a pre-pass here: the CCG rides each sub-FFT's gather, so no
+    // earlier sweep reads all of `x`.
+    let Some(th) = plan.thresholds_for_energy(simd::energy(x)) else {
+        return FtReport::unverifiable(out);
+    };
+
     // Input checksum vectors of size m and k — O(√N) work, DMR-protected,
     // generated into workspace buffers (no per-call allocation).
     dmr_generate_ra_into(
@@ -209,6 +218,7 @@ pub(crate) fn run_comp(
             plan,
             x,
             &ws.ra_m[..m],
+            th.eta1,
             n1,
             optimized,
             row,
@@ -230,6 +240,7 @@ pub(crate) fn run_comp(
             plan,
             &ws.y,
             &ws.ra_k[..k],
+            th.eta2,
             j2,
             optimized,
             &mut ws.buf,

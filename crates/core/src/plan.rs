@@ -4,7 +4,7 @@ use ftfft_checksum::{CombinedChecksum, IncrementalSlots, MemChecksum};
 use ftfft_fault::FaultInjector;
 use ftfft_fft::{Direction, Layout, Planner, TwoLayerPlan, TwoLayerScratch};
 use ftfft_numeric::Complex64;
-use ftfft_roundoff::{scaled, thresholds_for_split, Thresholds};
+use ftfft_roundoff::{input_sigma, scaled, thresholds_for_split, Thresholds};
 
 use crate::batch_ft::{self, BatchWorkspace};
 use crate::config::{FtConfig, PlanSpec, Scheme};
@@ -32,6 +32,8 @@ pub struct FtFftPlan {
     n: usize,
     dir: Direction,
     two: TwoLayerPlan,
+    /// Thresholds at unit input scale (σ₀ = 1, `threshold_scale` applied);
+    /// each execution multiplies them by its measured σ̂.
     thresholds: Thresholds,
     /// `fuses` resolved for the m-element part-1 columns.
     fused_part1: bool,
@@ -124,7 +126,7 @@ impl FtFftPlan {
             None => TwoLayerPlan::new(&planner, n, dir),
         };
         let thresholds =
-            scaled(thresholds_for_split(n, two.k(), two.m(), cfg.sigma0), cfg.threshold_scale);
+            scaled(thresholds_for_split(n, two.k(), two.m(), 1.0), cfg.threshold_scale);
         // Part 1 gathers m-element columns into the inner (m-point) plan,
         // part 2 gathers k-element columns into the outer (k-point) plan.
         let fused_part1 = fuses(two.m(), two.inner_plan().layout());
@@ -175,9 +177,27 @@ impl FtFftPlan {
         &self.two
     }
 
-    /// Detection thresholds in force.
+    /// Detection thresholds at unit input scale (σ₀ = 1). An execution
+    /// uses them multiplied by the σ̂ of its own input — see
+    /// [`thresholds_for`](FtFftPlan::thresholds_for).
     pub fn thresholds(&self) -> &Thresholds {
         &self.thresholds
+    }
+
+    /// The thresholds an execution on `x` runs with: the unit thresholds
+    /// times `σ̂ = √(‖x‖²/2n)` (non-finite when `x` has no finite scale).
+    pub fn thresholds_for(&self, x: &[Complex64]) -> Thresholds {
+        scaled(self.thresholds, input_sigma(ftfft_numeric::simd::energy(x), x.len()))
+    }
+
+    /// Per-execution thresholds for an `n`-point input of energy `energy`
+    /// (`‖x‖²`, measured in the executor's first sweep over `x`), or
+    /// `None` when σ̂ is not finite — a NaN/±Inf input or an energy that
+    /// overflows. No threshold can be set then, and the executor must
+    /// fail closed ([`FtReport::unverifiable`]).
+    pub fn thresholds_for_energy(&self, energy: f64) -> Option<Thresholds> {
+        let sigma = input_sigma(energy, self.n);
+        sigma.is_finite().then(|| scaled(self.thresholds, sigma))
     }
 
     /// The per-transform Opt-Online repair/fallback plan of a

@@ -281,16 +281,9 @@ mod tests {
         assert!(inj.exhausted());
         assert!(rep.total_detected() >= 1);
         assert_eq!(rep.uncorrectable, 0);
-        // The inverse plan's round-off thresholds must see the actual
-        // scale of its input (a spectrum, ~√n louder than the U(-1,1)
-        // default) — the same calibration every spectral pipeline does.
-        let sigma =
-            (spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / (2.0 * spec.len() as f64)).sqrt();
-        let inv = RealFtFftPlan::new(
-            n,
-            Direction::Inverse,
-            FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(sigma),
-        );
+        // The inverse sees a spectrum, ~√n louder than the time samples;
+        // its thresholds follow from the σ̂ it measures.
+        let inv = RealFtFftPlan::new(n, Direction::Inverse, FtConfig::new(Scheme::OnlineMemOpt));
         let mut wsi = inv.make_workspace();
         let mut back = vec![0.0; n];
         let rep2 = inv.inverse(&spec, &mut back, &NoFaults, &mut wsi);

@@ -4,6 +4,8 @@
 //! cross-checks it against the injector's fault log (every injected fault
 //! must surface as a detection) and uses the residual maxima for Table 4.
 
+use ftfft_numeric::Complex64;
+
 /// Counters and residual statistics from one protected execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FtReport {
@@ -36,6 +38,16 @@ impl FtReport {
     /// Fresh all-zero report.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The report of a run that verified nothing because its input has no
+    /// finite scale σ̂ (a NaN/±Inf element, or an energy that overflows):
+    /// no threshold exists, so the run fails closed — one uncorrectable
+    /// part, and `out` poisoned with NaN so no unverified number reads as
+    /// a result.
+    pub fn unverifiable(out: &mut [Complex64]) -> FtReport {
+        out.fill(Complex64::new(f64::NAN, f64::NAN));
+        FtReport { uncorrectable: 1, ..FtReport::new() }
     }
 
     /// Folds another report into this one (parallel rank merge, per-stream

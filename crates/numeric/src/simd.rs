@@ -330,6 +330,36 @@ mod scalar {
         }
     }
 
+    /// Energy step shared by `energy` and `EnergyAcc`: each eight-element
+    /// group folds `re²`/`im²` of element `i` into lanes `2i`/`2i+1` (four
+    /// 256-bit registers' worth of independent chains), then the tail
+    /// folds into lanes 0/1 in order.
+    #[inline]
+    pub fn energy_accumulate(acc: &mut [f64; 16], x: &[Complex64]) {
+        let groups = x.chunks_exact(8);
+        let rem = groups.remainder();
+        for g in groups {
+            for (i, v) in g.iter().enumerate() {
+                acc[2 * i] += v.re * v.re;
+                acc[2 * i + 1] += v.im * v.im;
+            }
+        }
+        for v in rem {
+            acc[0] += v.re * v.re;
+            acc[1] += v.im * v.im;
+        }
+    }
+
+    /// `dst += x` fused with [`energy_accumulate`] over `x` (same lanes,
+    /// same order).
+    #[inline]
+    pub fn add_energy_accumulate(acc: &mut [f64; 16], dst: &mut [Complex64], x: &[Complex64]) {
+        for (d, v) in dst.iter_mut().zip(x) {
+            *d += *v;
+        }
+        energy_accumulate(acc, x);
+    }
+
     /// Six-element group accumulation for the ω₃-weighted sum; returns the
     /// three group sums `Σ_{j≡c (mod 3)} x_j` in lane-reduced order.
     #[inline]
@@ -733,6 +763,66 @@ mod avx {
         }
     }
 
+    /// Plain multiply then add (no FMA), so every lane matches the scalar
+    /// `acc += v * v` bit for bit.
+    #[target_feature(enable = "avx,fma")]
+    pub unsafe fn energy_accumulate(acc: &mut [f64; 16], x: &[Complex64]) {
+        let a = acc.as_mut_ptr();
+        let mut e = [
+            _mm256_loadu_pd(a),
+            _mm256_loadu_pd(a.add(4)),
+            _mm256_loadu_pd(a.add(8)),
+            _mm256_loadu_pd(a.add(12)),
+        ];
+        let groups = x.len() / 8;
+        for i in 0..groups {
+            for (q, ev) in e.iter_mut().enumerate() {
+                let xv = load2(x.as_ptr().add(8 * i + 2 * q));
+                *ev = _mm256_add_pd(*ev, _mm256_mul_pd(xv, xv));
+            }
+        }
+        for (q, ev) in e.iter().enumerate() {
+            _mm256_storeu_pd(a.add(4 * q), *ev);
+        }
+        for v in &x[groups * 8..] {
+            acc[0] += v.re * v.re;
+            acc[1] += v.im * v.im;
+        }
+    }
+
+    /// One pass of `dst += x` that also folds `x` into the energy lanes.
+    #[target_feature(enable = "avx,fma")]
+    pub unsafe fn add_energy_accumulate(
+        acc: &mut [f64; 16],
+        dst: &mut [Complex64],
+        x: &[Complex64],
+    ) {
+        let a = acc.as_mut_ptr();
+        let mut e = [
+            _mm256_loadu_pd(a),
+            _mm256_loadu_pd(a.add(4)),
+            _mm256_loadu_pd(a.add(8)),
+            _mm256_loadu_pd(a.add(12)),
+        ];
+        let groups = x.len() / 8;
+        for i in 0..groups {
+            for (q, ev) in e.iter_mut().enumerate() {
+                let xv = load2(x.as_ptr().add(8 * i + 2 * q));
+                let dp = dst.as_mut_ptr().add(8 * i + 2 * q);
+                store2(dp, _mm256_add_pd(load2(dp), xv));
+                *ev = _mm256_add_pd(*ev, _mm256_mul_pd(xv, xv));
+            }
+        }
+        for (q, ev) in e.iter().enumerate() {
+            _mm256_storeu_pd(a.add(4 * q), *ev);
+        }
+        for (d, v) in dst[groups * 8..].iter_mut().zip(&x[groups * 8..]) {
+            *d += *v;
+            acc[0] += v.re * v.re;
+            acc[1] += v.im * v.im;
+        }
+    }
+
     #[target_feature(enable = "avx,fma")]
     pub unsafe fn sum3_groups(x: &[Complex64]) -> [Complex64; 3] {
         let mut va = _mm256_setzero_pd();
@@ -939,6 +1029,54 @@ pub fn weighted_sum3(x: &[Complex64], w1: Complex64, w2: Complex64) -> Complex64
     s[0] + cmul(s[1], w1) + cmul(s[2], w2)
 }
 
+/// Energy `‖x‖² = Σ_j |x_j|²` — the input-scale measurement every
+/// protected executor derives its round-off thresholds from.
+#[inline]
+pub fn energy(x: &[Complex64]) -> f64 {
+    let mut acc = EnergyAcc::new();
+    acc.accumulate(x);
+    acc.finish()
+}
+
+/// Streaming [`energy`] accumulator, for folding the measurement into a
+/// sweep that already reads the data. Sixteen independent lanes keep the
+/// sum streaming-speed; the result depends on how the data was split
+/// across calls, never on the dispatch level.
+#[derive(Clone, Copy, Debug)]
+pub struct EnergyAcc {
+    lanes: [f64; 16],
+}
+
+impl EnergyAcc {
+    /// Fresh zeroed accumulator.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        EnergyAcc { lanes: [0.0; 16] }
+    }
+
+    /// Folds `Σ |x_j|²` into the accumulator.
+    #[inline]
+    pub fn accumulate(&mut self, x: &[Complex64]) {
+        let lanes = &mut self.lanes;
+        dispatch!(lanes, x; energy_accumulate)
+    }
+
+    /// `dst += x` in the same pass that folds `Σ |x_j|²` into the
+    /// accumulator — for a sweep that adds the data somewhere anyway.
+    #[inline]
+    pub fn add_assign(&mut self, dst: &mut [Complex64], x: &[Complex64]) {
+        assert_eq!(dst.len(), x.len());
+        let lanes = &mut self.lanes;
+        dispatch!(lanes, dst, x; add_energy_accumulate)
+    }
+
+    /// The accumulated energy (lanes summed in index order).
+    #[inline]
+    pub fn finish(self) -> f64 {
+        self.lanes.iter().sum()
+    }
+}
+
 /// Streaming [`dot`] accumulator for fused gather+checksum loops.
 ///
 /// Feeding any sequence of even-length slices (the final slice may be odd)
@@ -1133,6 +1271,36 @@ mod tests {
                 x.iter().enumerate().fold(Complex64::ZERO, |acc, (j, &v)| acc + omega3_pow(j) * v);
             assert!(got.approx_eq(want, 1e-10 * (n as f64 + 1.0)), "n={n}");
         }
+    }
+
+    #[test]
+    fn energy_matches_naive_and_is_level_stable() {
+        for n in [0usize, 1, 7, 8, 9, 64, 101, 1000] {
+            let x = sig(n, n as u64 + 7);
+            let got = for_each_level(|| energy(&x));
+            let want: f64 = x.iter().map(|z| z.norm_sqr()).sum();
+            assert!((got - want).abs() <= 1e-13 * (want + 1.0), "n={n}: {got} vs {want}");
+        }
+        // Split streaming, and the fused add, are level-stable too; the
+        // fused add leaves the plain sum and the same energy.
+        let x = sig(300, 1);
+        let split = for_each_level(|| {
+            let mut acc = EnergyAcc::new();
+            for c in x.chunks(37) {
+                acc.accumulate(c);
+            }
+            acc.finish()
+        });
+        let fused = for_each_level(|| {
+            let mut acc = EnergyAcc::new();
+            let mut dst = sig(300, 2);
+            for (d, c) in dst.chunks_mut(37).zip(x.chunks(37)) {
+                acc.add_assign(d, c);
+            }
+            (dst, acc.finish())
+        });
+        let want: Vec<Complex64> = sig(300, 2).iter().zip(&x).map(|(&a, &b)| a + b).collect();
+        assert_eq!(fused, (want, split));
     }
 
     #[test]

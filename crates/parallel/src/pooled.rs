@@ -37,7 +37,7 @@ use ftfft_core::dmr::dmr_generate_ra_into;
 use ftfft_core::online::{part1_row, part2_col};
 use ftfft_core::{FtFftPlan, FtReport, Scheme, Workspace};
 use ftfft_fault::{FaultInjector, InjectionCtx, Site};
-use ftfft_numeric::Complex64;
+use ftfft_numeric::{simd, Complex64};
 use parking_lot::Mutex;
 
 use crate::pool::{chunk_range, resolve_threads, ThreadPool};
@@ -161,6 +161,11 @@ impl PooledFtFft {
         let two = plan.two();
         let (k, m) = (two.k(), two.m());
 
+        // σ̂ pre-pass, exactly as the serial executor takes it.
+        let Some(th) = plan.thresholds_for_energy(simd::energy(x)) else {
+            return FtReport::unverifiable(out);
+        };
+
         dmr_generate_ra_into(
             m,
             plan.dir(),
@@ -209,6 +214,7 @@ impl PooledFtFft {
                         plan,
                         x_shared,
                         ra_m,
+                        th.eta1,
                         n1,
                         optimized,
                         &mut y_rows[off..off + m],
@@ -253,6 +259,7 @@ impl PooledFtFft {
                         plan,
                         y_shared,
                         ra_k,
+                        th.eta2,
                         j2,
                         optimized,
                         &mut lane.buf,

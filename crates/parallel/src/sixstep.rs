@@ -29,8 +29,9 @@ use ftfft_checksum::{
 use ftfft_core::{FtReport, InPlaceFtPlan};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_fft::{Direction, FftPlan, Planner, ThreeLayerPlan};
+use ftfft_numeric::simd::{self, EnergyAcc};
 use ftfft_numeric::{cis, Complex64};
-use ftfft_roundoff::{checksum_roundoff_std, F64_MANTISSA_BITS};
+use ftfft_roundoff::{checksum_roundoff_std, input_sigma, F64_MANTISSA_BITS, HEADROOM};
 
 use crate::machine::{run_ranks, Comm};
 use crate::network::NetworkModel;
@@ -54,11 +55,14 @@ pub struct ParallelFft {
     three: Arc<ThreeLayerPlan>,
     /// `rA` for FFT2's k-point layers (caller-side CMCG weights).
     ra_k2: Vec<Complex64>,
-    /// CCV threshold for the p-point FFT1 transforms.
+    /// CCV threshold for the p-point FFT1 transforms, at unit input scale.
     eta_fft1: f64,
-    /// Tolerance for communication-block and output memory sums.
-    tol_comm: f64,
 }
+
+/// Tolerance for communication-block and output memory sums, relative to
+/// the input scale σ̂: generous (block sums over `n/p` values grow with
+/// every stage) but still far below any injected fault.
+const TOL_COMM: f64 = 1e-6;
 
 impl ParallelFft {
     /// Plans a parallel FFT of `n_total` points over `p` ranks.
@@ -71,7 +75,6 @@ impl ParallelFft {
         p: usize,
         scheme: ParallelScheme,
         network: Option<NetworkModel>,
-        sigma0: f64,
         max_retries: u32,
     ) -> Self {
         assert!(p >= 1, "need at least one rank");
@@ -84,15 +87,12 @@ impl ParallelFft {
         let planner = Planner::new();
         let fft_p = planner.plan(p, dir);
         let ra_p = input_checksum_vector(p, dir);
-        let sigma_fft2_in = (p as f64).sqrt() * sigma0;
-        let inplace = Arc::new(InPlaceFtPlan::new(n, dir, sigma_fft2_in, max_retries));
+        let inplace = Arc::new(InPlaceFtPlan::new(n, dir, max_retries));
         let three = Arc::new(ThreeLayerPlan::new(&planner, n, dir));
         let ra_k2 = input_checksum_vector(inplace.three().k(), dir);
         let t = F64_MANTISSA_BITS;
-        let eta_fft1 = (12.0 * (p as f64).sqrt() * checksum_roundoff_std(p, sigma0, t)).max(1e-12);
-        // Block sums over n/p values of magnitude ~√p·σ0 (post-FFT1 they
-        // grow); generous but still far below any injected fault.
-        let tol_comm = 1e-6;
+        let eta_fft1 =
+            (HEADROOM * 3.0 * (p as f64).sqrt() * checksum_roundoff_std(p, 1.0, t)).max(1e-12);
         ParallelFft {
             n_total,
             p,
@@ -105,7 +105,6 @@ impl ParallelFft {
             three,
             ra_k2,
             eta_fft1,
-            tol_comm,
         }
     }
 
@@ -171,20 +170,28 @@ impl ParallelFft {
         };
 
         // ---- Tran1: gather this rank's columns -------------------------
+        // Tran1's blocks carry this rank's input, so their tolerance is
+        // relative to its σ̂; every later check is relative to the σ̂ of
+        // the FFT1 input assembled here (measured while receiving, before
+        // its input-memory window).
+        let tol1 = input_sigma(simd::energy(&x), n) * TOL_COMM;
         let mut bmat = vec![Complex64::ZERO; n];
         let mut slots1 = IncrementalSlots::new(b);
+        let mut energy = EnergyAcc::new();
         {
             let slots1 = &mut slots1;
+            let energy = &mut energy;
             let ra_p = &self.ra_p;
             let r = exchange(
                 comm,
                 protection(1),
-                self.tol_comm,
+                tol1,
                 ov,
                 injector,
                 |dest| x[dest * b..(dest + 1) * b].to_vec(),
                 |src, payload| {
                     bmat[src * b..(src + 1) * b].copy_from_slice(payload);
+                    energy.accumulate(payload);
                     if ft {
                         // Incremental CMCG for the p-point FFT inputs
                         // (Fig 6: "MCV & CMCG" overlapped with Tran1).
@@ -196,6 +203,8 @@ impl ParallelFft {
             );
             rep.merge(&r);
         }
+        let sigma = input_sigma(energy.finish(), n);
+        let (eta_fft1, tol_comm) = (sigma * self.eta_fft1, sigma * TOL_COMM);
 
         // Memory window on the assembled FFT1 input.
         injector.inject(ctx, Site::InputMemory, &mut bmat);
@@ -232,7 +241,7 @@ impl ParallelFft {
                         &mut buf,
                     );
                     rep.checks += 1;
-                    let o = ccv(&buf, stored.sum1, self.eta_fft1);
+                    let o = ccv(&buf, stored.sum1, eta_fft1);
                     if o.ok {
                         rep.note_ok_residual_part1(o.residual);
                         if saw_error && !mem_fixed {
@@ -249,7 +258,7 @@ impl ParallelFft {
                     {
                         rep.checks += 1;
                         let observed = combined_checksum(&backup, &self.ra_p);
-                        match combined_decode(observed, stored, &self.ra_p, p, self.eta_fft1) {
+                        match combined_decode(observed, stored, &self.ra_p, p, eta_fft1) {
                             MemVerdict::Located { index, delta } => {
                                 if !mem_fixed {
                                     rep.mem_detected += 1;
@@ -301,7 +310,7 @@ impl ParallelFft {
                 exchange(
                     comm,
                     protection(2),
-                    self.tol_comm,
+                    tol_comm,
                     ov,
                     injector,
                     |dest| bmat[dest * b..(dest + 1) * b].to_vec(),
@@ -364,7 +373,7 @@ impl ParallelFft {
             // (repairs e.g. the OutputMemory window inside execute).
             rep.checks += 1;
             let observed = mem_checksum(&z);
-            match decode(observed, pair, n, self.tol_comm) {
+            match decode(observed, pair, n, tol_comm) {
                 MemVerdict::Clean => {}
                 MemVerdict::Located { index, delta } => {
                     rep.mem_detected += 1;
@@ -391,7 +400,7 @@ impl ParallelFft {
             let r = exchange(
                 comm,
                 protection(3),
-                self.tol_comm,
+                tol_comm,
                 ov,
                 injector,
                 |dest| z[dest * b..(dest + 1) * b].to_vec(),
@@ -417,7 +426,7 @@ mod tests {
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn check_scheme(n: usize, p: usize, scheme: ParallelScheme) {
-        let plan = ParallelFft::new(n, p, scheme, None, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = ParallelFft::new(n, p, scheme, None, 3);
         let x = uniform_signal(n, 99);
         let want = dft_naive(&x, Direction::Forward);
         let (got, rep) = plan.run(&x, &NoFaults);
@@ -452,7 +461,7 @@ mod tests {
     fn comm_fault_repaired() {
         let n = 1 << 10;
         let p = 4;
-        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, 3);
         let x = uniform_signal(n, 99);
         let want = dft_naive(&x, Direction::Forward);
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -469,8 +478,7 @@ mod tests {
     fn fft1_compute_fault_recovered() {
         let n = 1 << 10;
         let p = 4;
-        let plan =
-            ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
         let x = uniform_signal(n, 99);
         let want = dft_naive(&x, Direction::Forward);
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -489,7 +497,7 @@ mod tests {
     fn fft1_input_memory_fault_located() {
         let n = 1 << 12;
         let p = 4;
-        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, 3);
         let x = uniform_signal(n, 99);
         let want = dft_naive(&x, Direction::Forward);
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -509,8 +517,7 @@ mod tests {
         // Table 2/3 scenario: 2 memory + 2 computational faults per rank.
         let n = 1 << 12;
         let p = 4;
-        let plan =
-            ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, (1.0f64 / 3.0).sqrt(), 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
         let x = uniform_signal(n, 99);
         let want = dft_naive(&x, Direction::Forward);
         let mut faults = Vec::new();

@@ -22,5 +22,8 @@ pub use model::{
     batch_residual_std, checksum_roundoff_std, checksum_roundoff_std_second,
     memory_sum_roundoff_std, output_roundoff_std, sigma_eps, F64_MANTISSA_BITS,
 };
-pub use threshold::{batch_thresholds, scaled, thresholds_for_split, Thresholds};
+pub use threshold::{
+    batch_thresholds, input_sigma, scaled, thresholds_for_split, Thresholds, HEADROOM,
+    MEMORY_HEADROOM,
+};
 pub use throughput::{empirical_throughput, throughput};

@@ -6,10 +6,39 @@
 //! ≈99.7% throughput. The *offline* scheme has one part of size N, so its η
 //! is far larger than the online scheme's per-sub-FFT thresholds — the root
 //! of the paper's Table 5 detectability gap.
+//!
+//! Every model function is linear in the input scale σ₀, so plans build
+//! their thresholds once at σ₀ = 1 and each execution multiplies them by
+//! the σ̂ it measured from its own input ([`input_sigma`]): the paper's
+//! model evaluated at the true input scale, whatever that scale is.
 
 use crate::model::{
     checksum_roundoff_std, checksum_roundoff_std_second, memory_sum_roundoff_std, F64_MANTISSA_BITS,
 };
+
+/// Calibration headroom on the §8 `3·√size·σ_roe` compute-check bound.
+/// The Gentleman–Sande σ_ε is an *average-case* constant and the rA
+/// weights near the geometric-series pole amplify individual terms, so
+/// the raw 3σ bound sits within ~2× of real residuals. A fixed headroom
+/// keeps throughput at ~100% (Table 4) while the detectability gap of
+/// Table 5 (orders of magnitude) is unaffected.
+pub const HEADROOM: f64 = 4.0;
+
+/// Multiple of the memory-sum round-off std used as the memory-checksum
+/// tolerance (6σ): the sums are cheap exact sums, so the model
+/// underestimates relative to fused-multiply hardware; the headroom avoids
+/// false positives without hurting coverage (deltas of interest are ≫
+/// these scales).
+pub const MEMORY_HEADROOM: f64 = 6.0;
+
+/// The input-scale estimate `σ̂ = √(‖x‖²/2n)` for `n` complex values of
+/// energy `‖x‖²` — the per-component standard deviation of a zero-mean
+/// input, and the σ₀ every threshold is evaluated at. Non-finite when the
+/// input holds a NaN/±Inf or its energy overflows; the executors then fail
+/// closed, since no threshold can be set.
+pub fn input_sigma(energy: f64, n: usize) -> f64 {
+    (energy / (2 * n.max(1)) as f64).sqrt()
+}
 
 /// Thresholds for a two-layer online scheme (and the offline whole-FFT one).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,23 +74,13 @@ pub fn thresholds_for_split(n: usize, k: usize, m: usize, sigma0: f64) -> Thresh
     let mem_mid = memory_sum_roundoff_std(m.max(k), (m as f64).sqrt() * sigma0, t);
     let mem_out = memory_sum_roundoff_std(n, (n as f64).sqrt() * sigma0, t);
 
-    // The Gentleman–Sande σ_ε is an *average-case* constant and the rA
-    // weights near the geometric-series pole amplify individual terms, so
-    // the raw 3σ bound sits within ~2× of real residuals. A fixed headroom
-    // keeps throughput at ~100% (Table 4) while the detectability gap of
-    // Table 5 (orders of magnitude) is unaffected.
-    const HEADROOM: f64 = 4.0;
     Thresholds {
         eta1: HEADROOM * 3.0 * (m as f64).sqrt() * sroe1,
         eta2: HEADROOM * 3.0 * (k as f64).sqrt() * sroe2,
         eta_offline: HEADROOM * 3.0 * (n as f64).sqrt() * sroe_off,
-        // 6σ on the memory sums: they are cheap exact sums, so the model
-        // underestimates relative to fused-multiply hardware; headroom
-        // avoids false positives without hurting coverage (deltas of
-        // interest are ≫ these scales).
-        eta_mem_in: 6.0 * mem_in.max(f64::EPSILON),
-        eta_mem_mid: 6.0 * mem_mid.max(f64::EPSILON),
-        eta_mem_out: 6.0 * mem_out.max(f64::EPSILON),
+        eta_mem_in: MEMORY_HEADROOM * mem_in.max(f64::EPSILON),
+        eta_mem_mid: MEMORY_HEADROOM * mem_mid.max(f64::EPSILON),
+        eta_mem_out: MEMORY_HEADROOM * mem_out.max(f64::EPSILON),
     }
 }
 
@@ -73,7 +92,7 @@ pub fn thresholds_for_split(n: usize, k: usize, m: usize, sigma0: f64) -> Thresh
 /// is the **maximum** of `n` per-bin residuals — a 3σ per-bin bound would
 /// false-positive almost surely at large `n`. The Gaussian extremal bound
 /// `E[max] ≈ √(2·ln n)·σ` replaces the 3 with `3 + √(2·ln n)`, and the
-/// same empirical `HEADROOM` as [`thresholds_for_split`] absorbs the
+/// same empirical [`HEADROOM`] as [`thresholds_for_split`] absorbs the
 /// model's average-case σ_ε. Floored at `f64::EPSILON` so degenerate
 /// sizes never produce a zero threshold.
 pub fn batch_thresholds(
@@ -82,7 +101,6 @@ pub fn batch_thresholds(
     weight_norm_sq_1: f64,
     weight_norm_sq_2: f64,
 ) -> (f64, f64) {
-    const HEADROOM: f64 = 4.0;
     let t = F64_MANTISSA_BITS;
     let extremal = 3.0 + (2.0 * (n.max(2) as f64).ln()).sqrt();
     let eta = |wsq: f64| {
@@ -92,8 +110,8 @@ pub fn batch_thresholds(
     (eta(weight_norm_sq_1), eta(weight_norm_sq_2))
 }
 
-/// Scales model thresholds by an empirical safety factor (used after
-/// calibration finds the model tight or loose on a given machine).
+/// Scales every threshold by `factor` — the plan's empirical
+/// `threshold_scale`, and per execution the measured σ̂.
 pub fn scaled(t: Thresholds, factor: f64) -> Thresholds {
     Thresholds {
         eta1: t.eta1 * factor,
@@ -130,6 +148,16 @@ mod tests {
         let t = thresholds_for_split(1 << 16, 1 << 8, 1 << 8, 1.0);
         assert!(t.eta_mem_in < t.eta_mem_mid);
         assert!(t.eta_mem_mid < t.eta_mem_out);
+    }
+
+    #[test]
+    fn input_sigma_is_the_component_std() {
+        // 2n components of magnitude 3 → σ̂ = 3; all-zero → 0; overflow
+        // and NaN stay non-finite so callers can fail closed.
+        assert_eq!(input_sigma(2.0 * 8.0 * 9.0, 8), 3.0);
+        assert_eq!(input_sigma(0.0, 8), 0.0);
+        assert!(!input_sigma(f64::INFINITY, 8).is_finite());
+        assert!(input_sigma(f64::NAN, 8).is_nan());
     }
 
     #[test]

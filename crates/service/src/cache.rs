@@ -116,7 +116,7 @@ mod tests {
         let _ = cache.get(&base.build());
         let _ = cache.get(&base.direction(Direction::Inverse).build());
         let _ = cache.get(&base.scheme(Scheme::Plain).build());
-        let _ = cache.get(&base.sigma0(2.0).build());
+        let _ = cache.get(&base.threshold_scale(2.0).build());
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.hits(), 0);
     }

@@ -32,13 +32,6 @@ use crate::report::StreamReport;
 /// per-call overhead of the batched executors.
 const BATCH_FRAMES: usize = 4;
 
-/// Root-mean-square magnitude of a spectrum — the factor the inverse
-/// plan's σ₀ must carry so its round-off thresholds see the true scale of
-/// its input (spectra are ~√n louder than the time-domain samples).
-fn rms_magnitude(spec: &[Complex64]) -> f64 {
-    (spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / spec.len() as f64).sqrt().max(1e-30)
-}
-
 /// Protected overlap-save FIR convolver for real sample streams.
 ///
 /// Emits the linear convolution `y = x * taps` of everything pushed
@@ -130,13 +123,7 @@ impl StreamingConvolver {
         let rep = fwd.forward(&padded, &mut h_spec, &NoFaults, &mut setup_ws);
         assert_eq!(rep.uncorrectable, 0);
 
-        // The inverse plan's thresholds must see the scale of its actual
-        // input: a product spectrum, ~√(n/2)·rms|H| louder per component
-        // than the time-domain samples the spec's σ₀ describes.
-        let sigma_inv = spec.sigma0() * ((n / 2) as f64).sqrt() * rms_magnitude(&h_spec);
-        let inv = RealFtFftPlan::from_spec(
-            &spec.with_n(n).with_direction(Direction::Inverse).with_sigma0(sigma_inv),
-        );
+        let inv = RealFtFftPlan::from_spec(&spec.with_n(n).with_direction(Direction::Inverse));
 
         StreamingConvolver {
             taps_len,
@@ -385,10 +372,7 @@ impl ComplexStreamingConvolver {
         let rep = fwd.execute(&mut padded, &mut h_spec, &NoFaults, &mut setup_ws);
         assert_eq!(rep.uncorrectable, 0);
 
-        let sigma_inv = spec.sigma0() * (n as f64).sqrt() * rms_magnitude(&h_spec);
-        let inv = FtFftPlan::from_spec(
-            &spec.with_n(n).with_direction(Direction::Inverse).with_sigma0(sigma_inv),
-        );
+        let inv = FtFftPlan::from_spec(&spec.with_n(n).with_direction(Direction::Inverse));
 
         ComplexStreamingConvolver {
             taps_len,

@@ -129,15 +129,7 @@ impl FirFilterStage {
         let rep = fwd.forward(&padded, &mut h_spec, &NoFaults, &mut setup_ws);
         assert_eq!(rep.uncorrectable, 0);
 
-        // Same inverse-σ₀ calibration as the streaming convolver: the
-        // inverse sees a product spectrum ~√(n/2)·rms|H| louder than the
-        // time-domain scale σ₀ describes.
-        let rms_h =
-            (h_spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / bins as f64).sqrt().max(1e-30);
-        let sigma_inv = spec.sigma0() * ((n / 2) as f64).sqrt() * rms_h;
-        let inv = RealFtFftPlan::from_spec(
-            &spec.with_direction(Direction::Inverse).with_sigma0(sigma_inv),
-        );
+        let inv = RealFtFftPlan::from_spec(&spec.with_direction(Direction::Inverse));
 
         FirFilterStage {
             taps_len: taps.len(),

@@ -69,9 +69,7 @@ impl StftPlan {
 
     /// Plans the STFT described by `spec` (whose `n` is the frame/FFT
     /// size), advancing by `hop`. Both the analysis and synthesis plans
-    /// are built from the spec — its direction is ignored — with σ₀
-    /// recalibrated per direction for the windowed frames and their
-    /// spectra.
+    /// are built from the spec — its direction is ignored.
     ///
     /// # Panics
     /// Same conditions as [`StftPlan::new`].
@@ -92,17 +90,8 @@ impl StftPlan {
             window.name()
         );
 
-        // Threshold calibration: the transform sees windowed samples
-        // (σ₀·rms(w) per component), and the inverse sees their spectra
-        // (another √(n/2) louder).
-        let rms_w = (w.iter().map(|x| x * x).sum::<f64>() / fft_size as f64).sqrt();
-        let fwd = RealFtFftPlan::from_spec(
-            &spec.with_direction(Direction::Forward).with_sigma0(spec.sigma0() * rms_w),
-        );
-        let sigma_inv = spec.sigma0() * rms_w * ((fft_size / 2) as f64).sqrt();
-        let inv = RealFtFftPlan::from_spec(
-            &spec.with_direction(Direction::Inverse).with_sigma0(sigma_inv),
-        );
+        let fwd = RealFtFftPlan::from_spec(&spec.with_direction(Direction::Forward));
+        let inv = RealFtFftPlan::from_spec(&spec.with_direction(Direction::Inverse));
         let bins = fwd.spectrum_len();
         StftPlan {
             n: fft_size,

@@ -47,18 +47,12 @@ fn convolve_protected(a: &[f64], b: &[f64], injector: &dyn FaultInjector) -> (Ve
     report.merge(&fwd.execute(&mut xa, &mut fa, injector, &mut ws));
     report.merge(&fwd.execute(&mut xb, &mut fb, injector, &mut ws));
 
-    // Pointwise product, then the protected inverse transform. The round-off
-    // thresholds of the inverse plan must see the *actual* scale of its
-    // input (a product of two spectra), so calibrate σ₀ from the data.
+    // Pointwise product, then the protected inverse transform. Its input
+    // (a product of two spectra) is far louder than the time samples; the
+    // inverse plan's thresholds follow the scale it measures.
     let mut prod: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| x * y).collect();
-    let sigma_prod =
-        (prod.iter().map(|z| z.norm_sqr()).sum::<f64>() / (2.0 * n as f64)).sqrt().max(1e-30);
     let inv = FtFftPlan::from_spec(
-        &PlanSpec::builder(n)
-            .direction(Direction::Inverse)
-            .scheme(Scheme::OnlineMemOpt)
-            .sigma0(sigma_prod)
-            .build(),
+        &PlanSpec::builder(n).direction(Direction::Inverse).scheme(Scheme::OnlineMemOpt).build(),
     );
     let mut time = vec![Complex64::ZERO; n];
     let mut ws_inv = inv.make_workspace();

@@ -18,7 +18,6 @@ fn main() {
 
     println!("parallel FT-FFT: 2^{log2n} points on {p} simulated ranks\n");
     let x = uniform_signal(n, 3);
-    let sigma0 = SignalDist::Uniform.component_std_dev();
 
     // Reference from the sequential library.
     let reference = fft(&x);
@@ -28,7 +27,7 @@ fn main() {
         "scheme", "time (ms)", "checks", "corrected", "rel.err"
     );
     for scheme in ParallelScheme::ALL {
-        let plan = ParallelFft::new(n, p, scheme, Some(NetworkModel::cluster()), sigma0, 3);
+        let plan = ParallelFft::new(n, p, scheme, Some(NetworkModel::cluster()), 3);
         let t0 = Instant::now();
         let (out, rep) = plan.run(&x, &NoFaults);
         let dt = t0.elapsed();
@@ -82,8 +81,7 @@ fn main() {
         );
     }
     let inj = ScriptedInjector::new(faults);
-    let plan =
-        ParallelFft::new(n, p, ParallelScheme::OptFtFftw, Some(NetworkModel::cluster()), sigma0, 3);
+    let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, Some(NetworkModel::cluster()), 3);
     let t0 = Instant::now();
     let (out, rep) = plan.run(&x, &inj);
     let dt = t0.elapsed();

@@ -42,19 +42,18 @@ fn main() {
     let signal = synthesize(n, 7);
     println!("spectral analysis of a {n}-sample signal with tones at bins 50, 120, 333\n");
 
-    // Reference spectrum (no faults). The threshold model needs the actual
-    // input scale: tones + noise are louder than the default U(-1,1)
-    // assumption, so calibrate σ₀ from the signal itself.
-    // A pure tone concentrates the whole signal energy into one bin
-    // (|X| ~ N·amp instead of the random-signal √N·σ the §8 model assumes),
-    // so the round-off floor of the affected sub-FFTs is ~√N× the model
-    // value; widen the thresholds accordingly. Injected faults are many
-    // orders of magnitude above even the widened η.
-    let sigma0 = (signal.iter().map(|z| z.norm_sqr()).sum::<f64>() / (2.0 * n as f64)).sqrt();
+    // Reference spectrum (no faults). Each execution measures the input
+    // scale itself, so the loud tones + noise need no calibration. What
+    // the §8 model cannot know is the signal's *shape*: a pure tone
+    // concentrates the whole signal energy into one bin (|X| ~ N·amp
+    // instead of the random-signal √N·σ the model assumes), so the
+    // round-off floor of the affected sub-FFTs is ~√N× the model value;
+    // widen the thresholds accordingly (without it, a single fault costs
+    // recomputes of clean sub-FFTs too). Injected faults are many orders
+    // of magnitude above even the widened η.
     let plan = FtFftPlan::from_spec(
         &PlanSpec::builder(n)
             .scheme(Scheme::OnlineMemOpt)
-            .sigma0(sigma0)
             .threshold_scale((n as f64).sqrt())
             .build(),
     );

@@ -38,10 +38,12 @@ fn rms(x: &[f64]) -> f64 {
 fn main() {
     let n = 1 << 9; // 512-sample frames
     let hop = n / 2;
-    // Tonal signals concentrate energy into single bins (~N·amp instead of
-    // the √N·σ a random signal puts there), so widen the model thresholds
-    // like every tonal pipeline must; injected faults sit many orders of
-    // magnitude above even the widened η.
+    // Each transform measures its input's scale itself; what the §8 model
+    // cannot see is the shape. Tonal signals concentrate energy into
+    // single bins (~N·amp instead of the √N·σ a random signal puts
+    // there), so widen the model thresholds like every tonal pipeline
+    // must; injected faults sit many orders of magnitude above even the
+    // widened η.
     let spec = PlanSpec::builder(n)
         .scheme(Scheme::OnlineMemOpt)
         .threshold_scale((n as f64).sqrt())

@@ -51,15 +51,10 @@ fn inverse_direction_round_trip_through_protected_plans() {
     let n = 2048;
     let x = uniform_signal(n, 3);
     let fwd = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
-    // The inverse transform's input is a forward-FFT output, whose
-    // components are √N larger than the original signal — the threshold
-    // model needs the actual input scale.
-    let sigma_spec = SignalDist::Uniform.component_std_dev() * (n as f64).sqrt();
-    let inv = FtFftPlan::new(
-        n,
-        Direction::Inverse,
-        FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(sigma_spec),
-    );
+    // The inverse transform's input is a forward-FFT output, √N larger
+    // than the original signal; the inverse plan measures that scale
+    // itself, so the same config serves both directions.
+    let inv = FtFftPlan::new(n, Direction::Inverse, FtConfig::new(Scheme::OnlineMemOpt));
     let mut a = x.clone();
     let mut mid = vec![Complex64::ZERO; n];
     assert!(fwd.execute_alloc(&mut a, &mut mid, &NoFaults).is_clean());
@@ -90,9 +85,7 @@ fn normal_distribution_inputs_also_clean() {
     let n = 1024;
     let x = normal_signal(n, 4);
     let want = dft_naive(&x, Direction::Forward);
-    let cfg =
-        FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(SignalDist::Normal.component_std_dev());
-    let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
     let mut xin = x.clone();
     let mut out = vec![Complex64::ZERO; n];
     let rep = plan.execute_alloc(&mut xin, &mut out, &NoFaults);

@@ -175,8 +175,7 @@ fn in_place_plan_memory_protection() {
     let n = 2048;
     let x = uniform_signal(n, 11);
     let want = dft_naive(&x, Direction::Forward);
-    let plan =
-        InPlaceFtPlan::new(n, Direction::Forward, SignalDist::Uniform.component_std_dev(), 3);
+    let plan = InPlaceFtPlan::new(n, Direction::Forward, 3);
     let inj = ScriptedInjector::new(vec![
         ScriptedFault::new(Site::IntermediateMemory, 99, FaultKind::SetValue { re: 2.0, im: 2.0 }),
         ScriptedFault::new(Site::OutputMemory, 1500, FaultKind::AddDelta { re: 5.0, im: 0.0 }),

@@ -10,8 +10,7 @@ fn parallel_equals_sequential_all_schemes() {
     let want = fft(&x);
     for scheme in ParallelScheme::ALL {
         for p in [2usize, 4] {
-            let plan =
-                ParallelFft::new(n, p, scheme, None, SignalDist::Uniform.component_std_dev(), 3);
+            let plan = ParallelFft::new(n, p, scheme, None, 3);
             let (out, rep) = plan.run(&x, &NoFaults);
             assert!(
                 relative_error_inf(&out, &want) < 1e-10,
@@ -27,9 +26,8 @@ fn parallel_equals_sequential_all_schemes() {
 fn overlap_and_blocking_produce_identical_transforms() {
     let n = 1 << 14;
     let x = uniform_signal(n, 5);
-    let sigma = SignalDist::Uniform.component_std_dev();
-    let blocking = ParallelFft::new(n, 8, ParallelScheme::FtFftw, None, sigma, 3);
-    let overlap = ParallelFft::new(n, 8, ParallelScheme::OptFtFftw, None, sigma, 3);
+    let blocking = ParallelFft::new(n, 8, ParallelScheme::FtFftw, None, 3);
+    let overlap = ParallelFft::new(n, 8, ParallelScheme::OptFtFftw, None, 3);
     let (a, _) = blocking.run(&x, &NoFaults);
     let (b, _) = overlap.run(&x, &NoFaults);
     assert_eq!(a, b, "overlap is a scheduling change, not a numeric one");
@@ -40,14 +38,7 @@ fn single_rank_degenerates_to_sequential() {
     let n = 1 << 10;
     let x = uniform_signal(n, 9);
     let want = fft(&x);
-    let plan = ParallelFft::new(
-        n,
-        1,
-        ParallelScheme::OptFtFftw,
-        None,
-        SignalDist::Uniform.component_std_dev(),
-        3,
-    );
+    let plan = ParallelFft::new(n, 1, ParallelScheme::OptFtFftw, None, 3);
     let (out, rep) = plan.run(&x, &NoFaults);
     assert!(relative_error_inf(&out, &want) < 1e-10);
     assert!(rep.is_clean(), "{rep:?}");
@@ -57,10 +48,9 @@ fn single_rank_degenerates_to_sequential() {
 fn network_model_does_not_change_results() {
     let n = 1 << 10;
     let x = uniform_signal(n, 2);
-    let sigma = SignalDist::Uniform.component_std_dev();
-    let plain = ParallelFft::new(n, 4, ParallelScheme::OptFtFftw, None, sigma, 3);
+    let plain = ParallelFft::new(n, 4, ParallelScheme::OptFtFftw, None, 3);
     let modeled =
-        ParallelFft::new(n, 4, ParallelScheme::OptFtFftw, Some(NetworkModel::cluster()), sigma, 3);
+        ParallelFft::new(n, 4, ParallelScheme::OptFtFftw, Some(NetworkModel::cluster()), 3);
     let (a, _) = plain.run(&x, &NoFaults);
     let (b, _) = modeled.run(&x, &NoFaults);
     assert_eq!(a, b);
@@ -72,9 +62,8 @@ fn comm_corruption_on_each_transpose_phase_is_repaired() {
     let p = 4;
     let x = uniform_signal(n, 13);
     let want = fft(&x);
-    let sigma = SignalDist::Uniform.component_std_dev();
     for phase in [1u8, 2, 3] {
-        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, sigma, 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::FtFftw, None, 3);
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
             Site::CommBlock { from: 1, to: 3, phase },
             20,
@@ -93,8 +82,7 @@ fn fft2_faults_inside_ranks_recovered() {
     let p = 4;
     let x = uniform_signal(n, 17);
     let want = fft(&x);
-    let sigma = SignalDist::Uniform.component_std_dev();
-    let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, sigma, 3);
+    let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
     let inj = ScriptedInjector::new(vec![
         // Middle DMR layer of FFT2 on rank 0.
         ScriptedFault::new(
@@ -124,8 +112,7 @@ fn fault_storm_all_ranks_all_phases() {
     let p = 4;
     let x = uniform_signal(n, 23);
     let want = fft(&x);
-    let sigma = SignalDist::Uniform.component_std_dev();
-    let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, sigma, 3);
+    let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
     let mut faults = Vec::new();
     for r in 0..p {
         faults.push(
@@ -163,12 +150,11 @@ fn weak_scaling_shapes_hold_on_tiny_sizes() {
     // protected scheme is within a sane factor of plain.
     use std::time::Instant;
     let p = 4;
-    let sigma = SignalDist::Uniform.component_std_dev();
     let mut prev = 0.0;
     for log2n in [12u32, 14] {
         let n = 1 << log2n;
         let x = uniform_signal(n, 1);
-        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, sigma, 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
         let t0 = Instant::now();
         let _ = plan.run(&x, &NoFaults);
         let dt = t0.elapsed().as_secs_f64();

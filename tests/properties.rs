@@ -261,7 +261,7 @@ proptest! {
         let p = 1usize << logp;
         let x = uniform_signal(n, log2n as u64 * 31 + logp as u64);
         let want = fft(&x);
-        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, SignalDist::Uniform.component_std_dev(), 3);
+        let plan = ParallelFft::new(n, p, ParallelScheme::OptFtFftw, None, 3);
         let (out, rep) = plan.run(&x, &NoFaults);
         prop_assert!(rep.is_clean(), "{:?}", rep);
         prop_assert!(relative_error_inf(&out, &want) < 1e-9);
