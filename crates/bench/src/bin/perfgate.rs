@@ -19,27 +19,23 @@
 //! 4. **Streaming matrix** — the STFT engine's sustained frames/sec
 //!    ([`ftfft_bench::time_streaming`]): plain vs Opt-Online(m), scheduled
 //!    at 1 worker vs `N` workers.
-//! 5. **Parallel-strategy matrix** — the two-halves parallel DIT
-//!    (`Strategy::Parallel`) against the serial radix-2 plan it is
-//!    bitwise-identical to, plus what the `FTFFT_STRATEGY=auto` heuristic
-//!    would pick at this `(n, threads)`.
-//! 6. **Service workload** — the multi-tenant [`FftService`] driven by
+//! 5. **Service workload** — the multi-tenant [`FftService`] driven by
 //!    [`ftfft_bench::run_service_load`] with a mixed size × scheme
 //!    workload: requests/sec, plan-cache hit rate, coalesced batch
 //!    statistics, and p50/p99/p999 request latency.
-//! 7. **Pipeline matrix** — the end-to-end protected telemetry pipeline
+//! 6. **Pipeline matrix** — the end-to-end protected telemetry pipeline
 //!    ([`ftfft_bench::PipelineRun`]): sustained frames/sec with the
 //!    cold-buffer CRC guard off, on, and on under a seeded fault
 //!    campaign, at sizes capped to 2¹⁴ (the pipeline is a frame path,
 //!    not a big-transform path). The CRC on/off pair is a paired
 //!    interleaved A/B ([`ftfft_bench::paired_ab`]).
-//! 8. **Observability A/B** — the same pipeline and service workloads
+//! 7. **Observability A/B** — the same pipeline and service workloads
 //!    timed with `ftfft-obs` recording enabled vs disabled through the
 //!    runtime kill switch (`ftfft::obs::set_enabled`), both sides in one
 //!    process. Runtime-off takes the same early-out branches the `no-obs`
 //!    feature compiles away, so this ratio is the measured cost of
 //!    leaving instrumentation on.
-//! 9. **Batch-checksum matrix** — `B` same-size transforms protected by
+//! 8. **Batch-checksum matrix** — `B` same-size transforms protected by
 //!    the batch-level two-sided checksum scheme (`Scheme::BatchChecksum`:
 //!    one detection checksum transform amortized over the whole batch,
 //!    the localization side built lazily on a fault) against
@@ -204,25 +200,6 @@ struct BatchCase {
 impl BatchCase {
     fn speedup(&self) -> Option<f64> {
         self.tn_secs.map(|tn| self.t1_secs / tn)
-    }
-}
-
-/// One serial-vs-parallel single-transform comparison (per size): the
-/// two-halves parallel DIT against the serial radix-2 AoS plan whose
-/// output it reproduces bitwise. `parallel_secs` is `None` ("skipped")
-/// when there is no parallelism to measure.
-struct ParCase {
-    log2n: u32,
-    threads: usize,
-    /// What `FTFFT_STRATEGY=auto` picks at this `(n, threads)`.
-    strategy: &'static str,
-    serial_secs: f64,
-    parallel_secs: Option<f64>,
-}
-
-impl ParCase {
-    fn speedup(&self) -> Option<f64> {
-        self.parallel_secs.map(|p| self.serial_secs / p)
     }
 }
 
@@ -528,8 +505,6 @@ fn main() -> ExitCode {
         log2ns.iter().map(|&l| time_batch(l, threads_n, single_cpu, runs)).collect();
     let streams: Vec<StreamCase> =
         log2ns.iter().map(|&l| time_stream(l, threads_n, single_cpu, runs)).collect();
-    let pars: Vec<ParCase> =
-        log2ns.iter().map(|&l| time_parallel_dit(l, threads_n, single_cpu, runs)).collect();
     let service = run_service_case(smoke, threads_n);
     let pipes: Vec<PipelineCase> = log2ns
         .iter()
@@ -544,9 +519,7 @@ fn main() -> ExitCode {
         .map(|(l, b)| time_batch_chk(l, b, runs))
         .collect();
 
-    print_tables(
-        &cases, &ccg, &batches, &streams, &pars, &service, &pipes, &obs, &batch_chk, runs, smoke,
-    );
+    print_tables(&cases, &ccg, &batches, &streams, &service, &pipes, &obs, &batch_chk, runs, smoke);
 
     let verdict = if gate {
         Some(check_gate(
@@ -568,7 +541,6 @@ fn main() -> ExitCode {
         &ccg,
         &batches,
         &streams,
-        &pars,
         &service,
         &pipes,
         &obs,
@@ -614,11 +586,7 @@ fn main() -> ExitCode {
 fn time_case(kernel: Pow2Kernel, log2n: u32, runs: usize) -> Case {
     let n = 1usize << log2n;
 
-    // Strategy pinned serial: this is a kernel/layout A/B, and at the
-    // full-mode sizes the Auto heuristic would otherwise hand 2^18+ to the
-    // parallel DIT (which ignores both knobs).
-    let spec =
-        FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_strategy(Strategy::Serial);
+    let spec = FftSpec::new(n, Direction::Forward).with_kernel(kernel);
     let time_plan = |plan: &FftPlan| {
         let x = uniform_signal(n, 42);
         let mut dst = vec![Complex64::ZERO; n];
@@ -708,37 +676,6 @@ fn time_stream(log2n: u32, threads: usize, single_cpu: bool, runs: usize) -> Str
     }
 }
 
-/// Times one serial-vs-parallel single-transform row: the serial radix-2
-/// AoS plan against the two-halves parallel DIT at `threads` workers
-/// (bitwise-identical outputs — this is a pure schedule A/B).
-fn time_parallel_dit(log2n: u32, threads: usize, single_cpu: bool, runs: usize) -> ParCase {
-    let n = 1usize << log2n;
-    let x = uniform_signal(n, 42);
-    let mut dst = vec![Complex64::ZERO; n];
-
-    let serial_plan = FftPlan::from_spec(
-        &FftSpec::new(n, Direction::Forward)
-            .with_kernel(Pow2Kernel::Radix2)
-            .with_layout(Layout::Aos)
-            .with_strategy(Strategy::Serial),
-    );
-    let mut scratch = vec![Complex64::ZERO; serial_plan.scratch_len()];
-    let serial_secs = median_secs(runs, || serial_plan.execute(&x, &mut dst, &mut scratch));
-
-    let parallel_secs = (!single_cpu).then(|| {
-        let plan = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_strategy(Strategy::Parallel)
-                .with_threads(threads),
-        );
-        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        median_secs(runs, || plan.execute(&x, &mut dst, &mut scratch))
-    });
-
-    let strategy = if Strategy::Auto.picks_parallel(n, threads) { "parallel" } else { "serial" };
-    ParCase { log2n, threads, strategy, serial_secs, parallel_secs }
-}
-
 /// Times one pipeline row. The CRC-on/CRC-off pair is one built pipeline
 /// per side, timed as a paired interleaved A/B ([`paired_ab`]) so the
 /// gated ratio is the median of per-round ratios, insensitive to runner
@@ -760,7 +697,6 @@ fn print_tables(
     ccg: &[CcgCase],
     batches: &[BatchCase],
     streams: &[StreamCase],
-    pars: &[ParCase],
     service: &ServiceCase,
     pipes: &[PipelineCase],
     obs: &[ObsCase],
@@ -840,25 +776,6 @@ fn print_tables(
             table_opt(s.plain_tn_secs.map(|t| s.fps(t)), 1),
             table_opt(s.opt_tn_secs.map(|t| s.fps(t)), 1),
             s.overhead_t1()
-        );
-    }
-    println!(
-        "\nparallel strategy (two-halves DIT vs serial radix-2 AoS, one transform, \
-         bitwise-identical outputs):"
-    );
-    println!(
-        "{:>7}{:>9}{:>10}{:>14}{:>14}{:>10}",
-        "n", "threads", "auto", "serial(s)", "parallel(s)", "speedup"
-    );
-    for p in pars {
-        println!(
-            "{:>7}{:>9}{:>10}{:>14.6}{:>14}{:>10}",
-            format!("2^{}", p.log2n),
-            p.threads,
-            p.strategy,
-            p.serial_secs,
-            table_opt(p.parallel_secs, 6),
-            table_opt(p.speedup(), 2),
         );
     }
     let st = &service.report.stats;
@@ -1161,12 +1078,6 @@ fn check_gate(
     }
 }
 
-/// Renders `BENCH_PR.json`. Schema v10: v9 minus the kernel matrix's
-/// fused-vs-unfused Opt-Online columns, with
-/// `plain_kernel_soa_secs`/`soa_speedup` `"skipped"` for a kernel with no
-/// SoA engine (split-radix). (v9 added the `batch_checksum` section from
-/// [`time_batch_chk`]; v8 the `observability` section from
-/// [`time_obs_cases`].)
 /// `"release"` for optimized builds, `"debug"` otherwise — a record's
 /// timings only compare against records of the same profile.
 fn build_profile() -> &'static str {
@@ -1198,13 +1109,19 @@ fn nproc() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Renders `BENCH_PR.json`. Schema v11: v10 minus the
+/// `parallel_strategy` section. (v10 dropped the kernel matrix's
+/// fused-vs-unfused Opt-Online columns and records
+/// `plain_kernel_soa_secs`/`soa_speedup` as `"skipped"` for a kernel with
+/// no SoA engine (split-radix); v9 added the `batch_checksum` section from
+/// [`time_batch_chk`]; v8 the `observability` section from
+/// [`time_obs_cases`].)
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     cases: &[Case],
     ccg: &[CcgCase],
     batches: &[BatchCase],
     streams: &[StreamCase],
-    pars: &[ParCase],
     service: &ServiceCase,
     pipes: &[PipelineCase],
     obs: &[ObsCase],
@@ -1217,7 +1134,7 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 10,");
+    let _ = writeln!(s, "  \"schema_version\": 11,");
     let _ = writeln!(s, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
     let _ = writeln!(s, "  \"profile\": \"{}\",", build_profile());
     let _ = writeln!(s, "  \"git_rev\": \"{}\",", git_revision());
@@ -1303,23 +1220,6 @@ fn render_json(
             c.overhead_t1()
         );
         s.push_str(if i + 1 < streams.len() { "},\n" } else { "}\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"parallel_strategy\": [\n");
-    for (i, p) in pars.iter().enumerate() {
-        s.push_str("    {");
-        let _ = write!(
-            s,
-            "\"log2n\": {}, \"threads\": {}, \"auto_picks\": \"{}\", \
-             \"serial_secs\": {:.9}, \"parallel_secs\": {}, \"speedup\": {}",
-            p.log2n,
-            p.threads,
-            p.strategy,
-            p.serial_secs,
-            json_opt(p.parallel_secs, 9),
-            json_opt(p.speedup(), 6)
-        );
-        s.push_str(if i + 1 < pars.len() { "},\n" } else { "}\n" });
     }
     s.push_str("  ],\n");
     {

@@ -128,14 +128,12 @@ fn perfgate_smoke() {
     assert!(stdout.contains("perf gate OK"), "unexpected output:\n{stdout}");
     let json = std::fs::read_to_string(&out).expect("perfgate wrote BENCH_PR.json");
     let _ = std::fs::remove_file(&out);
-    assert!(json.contains("\"schema_version\": 10"), "schema header missing:\n{json}");
+    assert!(json.contains("\"schema_version\": 11"), "schema header missing:\n{json}");
     for stamp in ["\"profile\": ", "\"git_rev\": ", "\"nproc\": "] {
         assert!(json.contains(stamp), "record stamp {stamp} missing:\n{json}");
     }
     assert!(json.contains("\"threads\""), "threads column missing:\n{json}");
     assert!(json.contains("\"single_cpu\""), "single_cpu column missing:\n{json}");
-    assert!(json.contains("\"parallel_strategy\""), "parallel section missing:\n{json}");
-    assert!(json.contains("\"auto_picks\""), "strategy column missing:\n{json}");
     assert!(json.contains("\"overhead_ratio\""), "cases missing:\n{json}");
     assert!(json.contains("\"layout\""), "layout column missing:\n{json}");
     assert!(json.contains("\"soa_speedup\""), "soa speedup column missing:\n{json}");

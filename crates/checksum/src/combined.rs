@@ -93,6 +93,19 @@ pub fn combined_decode(
     n: usize,
     tol: f64,
 ) -> MemVerdict {
+    combined_decode_with(observed, stored, n, tol, |j| ra[j])
+}
+
+/// [`combined_decode`] with the weight of position `j` given by
+/// `weight(j)` instead of a materialized `rA` — for output pairs, whose
+/// ω₃-power weights are never stored.
+pub fn combined_decode_with(
+    observed: CombinedChecksum,
+    stored: CombinedChecksum,
+    n: usize,
+    tol: f64,
+    weight: impl Fn(usize) -> Complex64,
+) -> MemVerdict {
     let d1 = observed.sum1 - stored.sum1;
     let d2 = observed.sum2 - stored.sum2;
     if d1.norm() <= tol {
@@ -108,7 +121,7 @@ pub fn combined_decode(
         return MemVerdict::Unlocatable;
     }
     let j = idx as usize - 1;
-    let w = ra[j];
+    let w = weight(j);
     if w.norm_sqr() == 0.0 {
         // Degenerate rA slot (3 | n): the fault is visible but not sizable.
         return MemVerdict::Unlocatable;

@@ -54,8 +54,8 @@ pub use blocked::{
 };
 pub use ccv::{ccv, ccv_with_sum, CcvOutcome};
 pub use combined::{
-    combined_checksum, combined_checksum_ref, combined_decode, combined_sum1, combined_sum1_ref,
-    combined_sum1_strided, combined_verify, CombinedChecksum,
+    combined_checksum, combined_checksum_ref, combined_decode, combined_decode_with, combined_sum1,
+    combined_sum1_ref, combined_sum1_strided, combined_verify, CombinedChecksum,
 };
 pub use crc32::{crc32, crc32_f64s, Crc32};
 pub use fused::{gather_combined, gather_sum1};

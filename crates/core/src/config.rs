@@ -4,7 +4,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use ftfft_fft::{Direction, FftSpec, Layout, Pow2Kernel, Strategy};
+use ftfft_fft::{resolve_threads, Direction, FftSpec, Layout, Pow2Kernel, Strategy};
 use ftfft_numeric::{simd_level, SimdLevel};
 
 /// Which fault-tolerance scheme wraps the FFT.
@@ -256,7 +256,6 @@ pub struct PlanSpec {
     scheme: Scheme,
     kernel: Option<Pow2Kernel>,
     layout: Option<Layout>,
-    strategy: Option<Strategy>,
     threads: Option<usize>,
     /// SIMD dispatch level recorded at resolution (`FTFFT_SIMD` routes
     /// through the same process-global detection every kernel uses; the
@@ -288,7 +287,6 @@ impl PlanSpec {
             scheme: cfg.scheme,
             kernel: None,
             layout: None,
-            strategy: None,
             threads: cfg.threads,
             simd: None,
             max_retries: cfg.max_retries,
@@ -300,18 +298,18 @@ impl PlanSpec {
 
     /// The env/forced tier, and the **single point where the `FTFFT_*`
     /// environment enters protected-plan resolution**: fills every
-    /// still-unset planner knob from `FTFFT_KERNEL` / `FTFFT_LAYOUT` /
-    /// `FTFFT_STRATEGY` / `FTFFT_THREADS` (via [`FftSpec::from_env_overrides`],
-    /// which also honors the `force_*` test overrides) and records the
-    /// `FTFFT_SIMD`-resolved dispatch level. Explicit builder choices are
-    /// never overwritten; knobs with no override stay unset for the
-    /// per-sub-plan heuristics.
+    /// still-unset planner knob from `FTFFT_KERNEL` / `FTFFT_LAYOUT` (via
+    /// [`FftSpec::from_env_overrides`], which also honors the `force_*`
+    /// test overrides), the pooled executors' worker count from
+    /// `FTFFT_THREADS` / hardware parallelism ([`resolve_threads`]), and
+    /// records the `FTFFT_SIMD`-resolved dispatch level. Explicit builder
+    /// choices are never overwritten; knobs with no override stay unset
+    /// for the per-sub-plan heuristics.
     pub fn from_env_overrides(mut self) -> PlanSpec {
         let f = self.fft_template().from_env_overrides();
         self.kernel = f.kernel;
         self.layout = f.layout;
-        self.strategy = f.strategy;
-        self.threads = f.threads;
+        self.threads = self.threads.or_else(|| Some(resolve_threads(None)));
         self.simd = self.simd.or_else(|| Some(simd_level()));
         // The scheme knob has no unset state, so [`Scheme::Plain`] (the
         // builder default) is what "unset" looks like: `FTFFT_SCHEME` /
@@ -342,14 +340,7 @@ impl PlanSpec {
     /// decomposition inherits its pinned knobs from (`n`/`dir` are
     /// replaced per sub-plan).
     pub fn fft_template(&self) -> FftSpec {
-        FftSpec {
-            n: self.n,
-            dir: self.dir,
-            kernel: self.kernel,
-            layout: self.layout,
-            strategy: self.strategy,
-            threads: self.threads,
-        }
+        FftSpec { n: self.n, dir: self.dir, kernel: self.kernel, layout: self.layout }
     }
 
     /// Reconstructs the executor configuration this spec describes.
@@ -410,11 +401,6 @@ impl PlanSpec {
         self.layout
     }
 
-    /// Pinned execution strategy, if any.
-    pub fn strategy(&self) -> Option<Strategy> {
-        self.strategy
-    }
-
     /// Pinned worker count, if any.
     pub fn threads(&self) -> Option<usize> {
         self.threads
@@ -452,12 +438,12 @@ impl PlanSpec {
     fn key(
         &self,
     ) -> (
-        (usize, Direction, Scheme, Option<Pow2Kernel>, Option<Layout>, Option<Strategy>),
+        (usize, Direction, Scheme, Option<Pow2Kernel>, Option<Layout>),
         (Option<usize>, Option<SimdLevel>, u32, usize, Option<usize>),
         u64,
     ) {
         (
-            (self.n, self.dir, self.scheme, self.kernel, self.layout, self.strategy),
+            (self.n, self.dir, self.scheme, self.kernel, self.layout),
             (self.threads, self.simd, self.max_retries, self.batch_s, self.split_k),
             self.threshold_scale.to_bits(),
         )
@@ -514,16 +500,15 @@ impl PlanSpecBuilder {
         self
     }
 
-    /// Pins the execution strategy (default: `FTFFT_STRATEGY`, then
-    /// [`Strategy::Auto`]).
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.spec.strategy = Some(strategy);
+    /// No-op: every sub-FFT runs the serial kernel family. Kept only for
+    /// the benchmark package (`ftbench/`), which still pins
+    /// [`Strategy::Serial`]; goes with the next change to that package.
+    pub fn strategy(self, _strategy: Strategy) -> Self {
         self
     }
 
-    /// Pins the worker count (default: `FTFFT_THREADS`, then hardware
-    /// parallelism). Feeds both the pooled executors and the parallel-DIT
-    /// strategy decision.
+    /// Pins the pooled executors' worker count (default: `FTFFT_THREADS`,
+    /// then hardware parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = Some(threads.max(1));
         self
@@ -634,7 +619,6 @@ mod tests {
             .scheme(Scheme::OnlineMemOpt)
             .kernel(Pow2Kernel::Radix4)
             .layout(Layout::Soa)
-            .strategy(Strategy::Serial)
             .threads(4)
             .max_retries(5)
             .threshold_scale(2.0)
@@ -646,7 +630,6 @@ mod tests {
         assert_eq!(spec.scheme(), Scheme::OnlineMemOpt);
         assert_eq!(spec.kernel(), Some(Pow2Kernel::Radix4));
         assert_eq!(spec.layout(), Some(Layout::Soa));
-        assert_eq!(spec.strategy(), Some(Strategy::Serial));
         assert_eq!(spec.threads(), Some(4));
         assert_eq!(spec.max_retries(), 5);
         assert_eq!(spec.threshold_scale(), 2.0);
@@ -695,7 +678,6 @@ mod tests {
             base().scheme(Scheme::Plain).build(),
             base().kernel(Pow2Kernel::Radix2).build(),
             base().layout(Layout::Aos).build(),
-            base().strategy(Strategy::Serial).build(),
             base().threads(2).build(),
             base().max_retries(9).build(),
             base().threshold_scale(3.0).build(),

@@ -15,8 +15,8 @@
 //!   produced for the caller's final MCV.
 
 use ftfft_checksum::{
-    ccv, combined_checksum, combined_decode, combined_sum1, decode, mem_checksum, CombinedChecksum,
-    IncrementalSlots, MemChecksum, MemVerdict,
+    ccv, combined_checksum, combined_decode, combined_sum1, mem_checksum, mem_verify,
+    CombinedChecksum, IncrementalSlots, MemChecksum, MemVerdict,
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_fft::{Direction, Planner, ThreeLayerPlan};
@@ -270,24 +270,12 @@ impl InPlaceFtPlan {
 
             // MCV: verify the chunk against its incremental slot pair
             // before the middle layer consumes it.
-            rep.checks += 1;
             let stored = {
                 let c = ws.chunk_ck.column_checksum(j2);
                 MemChecksum { sum: c.sum1, wsum: c.sum2 }
             };
-            let observed = mem_checksum(&data[chunk_range.clone()]);
-            match decode(observed, stored, p, eta_mem) {
-                MemVerdict::Clean => {}
-                MemVerdict::Located { index, delta } => {
-                    rep.mem_detected += 1;
-                    rep.mem_corrected += 1;
-                    data[j2 * p + index] -= delta;
-                }
-                MemVerdict::Unlocatable => {
-                    rep.mem_detected += 1;
-                    rep.uncorrectable += 1;
-                }
-            }
+            let chunk = &mut data[chunk_range.clone()];
+            rep.repair_memory(chunk, |t| t, self.max_retries, |c| mem_verify(c, stored, eta_mem));
 
             // Middle layer under DMR: twiddles + r-point FFTs (pure twiddle
             // when r == 1). Computed twice into `pass`, compared, voted.
@@ -421,6 +409,7 @@ impl InPlaceFtPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftfft_checksum::decode;
     use ftfft_fault::{FaultKind, NoFaults, ScriptedFault, ScriptedInjector};
     use ftfft_fft::dft_naive;
     use ftfft_numeric::{max_abs_diff, uniform_signal};

@@ -14,7 +14,7 @@
 
 use ftfft_checksum::{
     ccv, combined_sum1, combined_sum1_strided, decode, mem_checksum, mem_checksum_strided,
-    MemVerdict,
+    mem_verify,
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
 use ftfft_numeric::Complex64;
@@ -34,6 +34,7 @@ pub(crate) fn run(
     let mut rep = FtReport::new();
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
+    let retries = plan.cfg().max_retries;
     // σ̂ from a streaming pre-pass: the input MCG below is k strided scans.
     let Some(th) = plan.thresholds_for_energy(ftfft_numeric::simd::energy(x)) else {
         return FtReport::unverifiable(out);
@@ -71,20 +72,13 @@ pub(crate) fn run(
     // ---- part 1 ---------------------------------------------------------
     for n1 in 0..k {
         // MCV: verify (and repair) this FFT's input before use.
-        rep.checks += 1;
-        let observed = mem_checksum_strided(x, n1, k, m);
-        match decode(observed, ws.in_mck[n1], m, th.eta_mem_in) {
-            MemVerdict::Clean => {}
-            MemVerdict::Located { index, delta } => {
-                rep.mem_detected += 1;
-                rep.mem_corrected += 1;
-                x[n1 + index * k] -= delta;
-            }
-            MemVerdict::Unlocatable => {
-                rep.mem_detected += 1;
-                rep.uncorrectable += 1;
-            }
-        }
+        let stored = ws.in_mck[n1];
+        rep.repair_memory(
+            x,
+            |t| n1 + t * k,
+            retries,
+            |x| decode(mem_checksum_strided(x, n1, k, m), stored, m, th.eta_mem_in),
+        );
 
         let cx = combined_sum1_strided(x, n1, k, ra_m);
         let mut attempts = 0u32;
@@ -105,7 +99,7 @@ pub(crate) fn run(
             rep.comp_detected += 1;
             rep.subfft_recomputed += 1;
             attempts += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > retries {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -117,21 +111,9 @@ pub(crate) fn run(
 
     // ---- rearrangement re-checksum: MCV(rows) + MCG(columns) ------------
     for n1 in 0..k {
-        rep.checks += 1;
+        let stored = ws.row_ck[n1];
         let row = &mut ws.y[n1 * m..(n1 + 1) * m];
-        let observed = mem_checksum(row);
-        match decode(observed, ws.row_ck[n1], m, th.eta_mem_mid) {
-            MemVerdict::Clean => {}
-            MemVerdict::Located { index, delta } => {
-                rep.mem_detected += 1;
-                rep.mem_corrected += 1;
-                row[index] -= delta;
-            }
-            MemVerdict::Unlocatable => {
-                rep.mem_detected += 1;
-                rep.uncorrectable += 1;
-            }
-        }
+        rep.repair_memory(row, |t| t, retries, |row| mem_verify(row, stored, th.eta_mem_mid));
     }
     for j2 in 0..m {
         ws.col_ck[j2] = mem_checksum_strided(&ws.y, j2, m, k);
@@ -152,20 +134,13 @@ pub(crate) fn run(
         let group = j2_start..(j2_start + s).min(m);
         // MCV of each column in the group before use.
         for j2 in group.clone() {
-            rep.checks += 1;
-            let observed = mem_checksum_strided(&ws.y, j2, m, k);
-            match decode(observed, ws.col_ck[j2], k, th.eta_mem_mid) {
-                MemVerdict::Clean => {}
-                MemVerdict::Located { index, delta } => {
-                    rep.mem_detected += 1;
-                    rep.mem_corrected += 1;
-                    ws.y[j2 + index * m] -= delta;
-                }
-                MemVerdict::Unlocatable => {
-                    rep.mem_detected += 1;
-                    rep.uncorrectable += 1;
-                }
-            }
+            let stored = ws.col_ck[j2];
+            rep.repair_memory(
+                &mut ws.y,
+                |t| j2 + t * m,
+                retries,
+                |y| decode(mem_checksum_strided(y, j2, m, k), stored, k, th.eta_mem_mid),
+            );
         }
 
         let mut attempts = 0u32;
@@ -205,7 +180,7 @@ pub(crate) fn run(
             rep.comp_detected += 1;
             rep.subfft_recomputed += group.len() as u32;
             attempts += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > retries {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -222,20 +197,13 @@ pub(crate) fn run(
 
     // ---- final MCV of the output ----------------------------------------
     for j2 in 0..m {
-        rep.checks += 1;
-        let observed = mem_checksum_strided(out, j2, m, k);
-        match decode(observed, ws.out_ck[j2], k, th.eta_mem_out) {
-            MemVerdict::Clean => {}
-            MemVerdict::Located { index, delta } => {
-                rep.mem_detected += 1;
-                rep.mem_corrected += 1;
-                out[j2 + index * m] -= delta;
-            }
-            MemVerdict::Unlocatable => {
-                rep.mem_detected += 1;
-                rep.uncorrectable += 1;
-            }
-        }
+        let stored = ws.out_ck[j2];
+        rep.repair_memory(
+            out,
+            |t| j2 + t * m,
+            retries,
+            |out| decode(mem_checksum_strided(out, j2, m, k), stored, k, th.eta_mem_out),
+        );
     }
     rep
 }

@@ -24,10 +24,11 @@
 //! This is the paper's headline "Opt-Online" configuration.
 
 use ftfft_checksum::{
-    ccv, ccv_with_sum, combined_decode, gather_combined, weighted_sum, CombinedChecksum,
-    MemVerdict, ResidueSums,
+    ccv, ccv_with_sum, combined_decode, combined_decode_with, gather_combined, weighted_sum,
+    CombinedChecksum, MemVerdict, ResidueSums,
 };
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
+use ftfft_fft::strided::gather;
 use ftfft_numeric::{omega3_pow, simd, Complex64};
 
 use crate::dmr::{dmr_generate_ra_into, dmr_twiddle_into};
@@ -45,7 +46,6 @@ pub(crate) fn run(
     let mut rep = FtReport::new();
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let n = plan.n();
 
     dmr_generate_ra_into(
         m,
@@ -194,13 +194,12 @@ pub(crate) fn run(
     injector.inject(ctx, Site::IntermediateMemory, &mut ws.y);
 
     // ---- part 2: slot-checked k-point FFTs -------------------------------
-    // Global output pair `g1 = Σ ω₃^pos·X[pos]`, `g2 = Σ (pos+1)·ω₃^pos·X[pos]`
-    // accumulated from each verified column before it is scattered; checked
-    // once at the end (§4.2 postponed output MCV). Reading the column
-    // *before* it reaches memory is what lets the final CMCV catch
-    // output-memory corruption.
+    // Each verified column's output pair is kept, and the global
+    // `g1 = Σ ω₃^pos·X[pos]` accumulated from it, before the column is
+    // scattered; `g1` is checked once at the end (§4.2 postponed output
+    // MCV). Reading the column *before* it reaches memory is what lets the
+    // final CMCV catch output-memory corruption.
     let mut g1 = Complex64::ZERO;
-    let mut g2 = Complex64::ZERO;
     for j2 in 0..m {
         let stored = ws.slots.column_checksum(j2);
         let mut attempts = 0u32;
@@ -262,41 +261,41 @@ pub(crate) fn run(
                 break sums;
             }
         };
-        // Position j1·m + j2 carries ω₃^{j2}·ω₃^{(m·j1) mod 3} and weight
-        // j1·m + j2 + 1, so the column adds ω₃^{j2}·p to g1 and
-        // ω₃^{j2}·(m·q + (j2+1)·p) to g2, (p, q) = sums.rotated(m).
+        // Position j1·m + j2 carries ω₃^{j2}·ω₃^{(m·j1) mod 3}, so the
+        // column adds ω₃^{j2}·p to g1, (p, q) = sums.rotated(m). Its own
+        // pair weighs output j1 by ω₃^{m·j1} and (j1+1)·ω₃^{m·j1}.
         let (p, q) = sums.rotated(m);
-        let w = omega3_pow(j2);
-        g1 += w * p;
-        g2 += w * (q.scale(m as f64) + p.scale((j2 + 1) as f64));
+        g1 += omega3_pow(j2) * p;
+        ws.out_pairs[j2] = CombinedChecksum { sum1: p, sum2: q + p };
         two.scatter_output(out, j2, &ws.buf);
     }
 
     injector.inject(ctx, Site::OutputMemory, out);
 
     // ---- final CMCV over the output (§4.2) -------------------------------
+    // The clean path reads one weighted sum. A failed gate decodes column
+    // by column against the kept pairs: the index decode divides two
+    // residuals, and over a k-point column the (j1+1)-weighted one carries
+    // far less roundoff than over all n positions, which would misplace a
+    // strike just above the threshold.
     rep.checks += 1;
-    let o1 = weighted_sum(out);
-    let gate = ccv_with_sum(o1, g1, th.eta_mem_out);
-    if !gate.ok {
-        let mut o2 = Complex64::ZERO;
-        for (pos, &v) in out.iter().enumerate() {
-            o2 += (v * omega3_pow(pos)).scale((pos + 1) as f64);
-        }
-        let d1 = o1 - g1;
-        let d2 = o2 - g2;
-        let ratio = d2 / d1;
-        let idx = ratio.re.round();
-        let frac = (ratio.re - idx).abs().max(ratio.im.abs());
-        if (1.0..=n as f64).contains(&idx) && frac <= 0.25 {
-            let pos = idx as usize - 1;
-            let delta = d1 / omega3_pow(pos);
-            out[pos] -= delta;
-            rep.mem_detected += 1;
-            rep.mem_corrected += 1;
-        } else {
-            rep.mem_detected += 1;
-            rep.uncorrectable += 1;
+    if !ccv_with_sum(weighted_sum(out), g1, th.eta_mem_out).ok {
+        let col = &mut ws.buf2[..k];
+        for j2 in 0..m {
+            let stored = ws.out_pairs[j2];
+            rep.repair_memory(
+                out,
+                |j1| j1 * m + j2,
+                plan.cfg().max_retries,
+                |out| {
+                    gather(out, j2, m, col);
+                    let (p, q) = ResidueSums::of(col).rotated(m);
+                    let observed = CombinedChecksum { sum1: p, sum2: q + p };
+                    combined_decode_with(observed, stored, k, th.eta_mem_out, |j1| {
+                        omega3_pow(j1 * m)
+                    })
+                },
+            );
         }
     }
     rep

@@ -27,12 +27,12 @@ use crate::report::FtReport;
 
 /// Executes one protected first-part (m-point) sub-FFT against the
 /// per-execution threshold `eta1` (see
-/// [`FtFftPlan::thresholds_for_energy`]): CCG over the
-/// gathered stride-`k` input (fused with the gather when
-/// `plan.fused_part1()`: the sum folds each natural-order block while the
-/// gather stores it in the kernel's input order), the transform, the CCV
-/// retry loop, and — in the optimized variant — the fused row-wise twiddle
-/// under DMR. The finished row is written to `row[..m]`.
+/// [`FtFftPlan::thresholds_for_energy`]): CCG over the gathered stride-`k`
+/// input (in the optimized variant fused with the gather: the sum folds
+/// each natural-order block while the gather stores it in the kernel's
+/// input order), the transform, the CCV retry loop, and — in the optimized
+/// variant — the fused row-wise twiddle under DMR. The finished row is
+/// written to `row[..m]`.
 ///
 /// This is the unit of work the pooled executor
 /// (`ftfft_parallel::PooledFtFft`) fans out across workers: it only reads
@@ -57,10 +57,9 @@ pub fn part1_row(
 ) {
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let fused = plan.fused_part1();
     let mut attempts = 0u32;
     loop {
-        let cx = if optimized && fused {
+        let cx = if optimized {
             // One pass: gather into the kernel's input order, accumulate
             // the CCG over the same blocks, transform.
             let mut acc = DotAcc::new();
@@ -69,16 +68,10 @@ pub fn part1_row(
             });
             acc.finish()
         } else {
-            let cx = if optimized {
-                two.gather_first(x, n1, buf);
-                combined_sum1(&buf[..m], ra_m)
-            } else {
-                // Unoptimized: checksum over the strided source, then a
-                // separate gather for the transform (two strided reads).
-                let cx = combined_sum1_strided(x, n1, k, ra_m);
-                two.gather_first(x, n1, buf);
-                cx
-            };
+            // Unoptimized: checksum over the strided source, then a
+            // separate gather for the transform (two strided reads).
+            let cx = combined_sum1_strided(x, n1, k, ra_m);
+            two.gather_first(x, n1, buf);
             two.inner_fft(buf, fft);
             cx
         };
@@ -128,10 +121,9 @@ pub fn part2_col(
 ) {
     let two = plan.two();
     let (k, m) = (two.k(), two.m());
-    let fused = plan.fused_part2();
     let mut attempts = 0u32;
     loop {
-        let cx2 = if optimized && fused {
+        let cx2 = if optimized {
             let mut acc = DotAcc::new();
             two.outer_plan().execute_gathered_with(y, j2, m, &mut buf[..k], fft, |t, blk| {
                 acc.accumulate(blk, &ra_k[t..t + blk.len()])
@@ -139,12 +131,10 @@ pub fn part2_col(
             acc.finish()
         } else {
             two.gather_second(y, j2, buf);
-            if !optimized {
-                // Algorithm 2 order: twiddle multiplication (DMR) applied
-                // to the column right before the second-part FFT.
-                let col = &mut buf[..k];
-                dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
-            }
+            // Algorithm 2 order: twiddle multiplication (DMR) applied to
+            // the column right before the second-part FFT.
+            let col = &mut buf[..k];
+            dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
             let cx2 = combined_sum1(&buf[..k], ra_k);
             two.outer_fft(buf, fft);
             cx2

@@ -2,7 +2,7 @@
 
 use ftfft_checksum::{CombinedChecksum, IncrementalSlots, MemChecksum};
 use ftfft_fault::FaultInjector;
-use ftfft_fft::{Direction, Layout, Planner, TwoLayerPlan, TwoLayerScratch};
+use ftfft_fft::{Direction, Planner, TwoLayerPlan, TwoLayerScratch};
 use ftfft_numeric::Complex64;
 use ftfft_roundoff::{input_sigma, scaled, thresholds_for_split, Thresholds};
 
@@ -35,10 +35,6 @@ pub struct FtFftPlan {
     /// Thresholds at unit input scale (σ₀ = 1, `threshold_scale` applied);
     /// each execution multiplies them by its measured σ̂.
     thresholds: Thresholds,
-    /// `fuses` resolved for the m-element part-1 columns.
-    fused_part1: bool,
-    /// `fuses` resolved for the k-element part-2 columns.
-    fused_part2: bool,
     /// The resolved spec this plan was built from (env overrides already
     /// applied) — the canonical cache key for plan-sharing layers.
     spec: PlanSpec,
@@ -47,18 +43,6 @@ pub struct FtFftPlan {
     /// recompute implicated batch members (and to run members singly when
     /// a batch never fills). `None` for every other scheme.
     repair: Option<Box<FtFftPlan>>,
-}
-
-/// Whether a sub-FFT of `count` gathered elements whose sub-plan runs
-/// `layout` takes the fused gather+checksum pass (§4.4 single-pass
-/// buffering, SIMD-accumulated) instead of a gather followed by a separate
-/// checksum pass. The two are bitwise identical, so this is purely a
-/// performance rule. Below 16 elements the streaming accumulator's setup
-/// outweighs the saved pass. SoA sub-plans never fuse: the strided fused
-/// sweep measured 27–37% slower than the plane kernels' bulk conversion at
-/// every size (2¹⁰–2¹⁶, radix-2 and radix-4).
-fn fuses(count: usize, layout: Layout) -> bool {
-    layout == Layout::Aos && count >= 16
 }
 
 /// Reusable working storage for [`FtFftPlan::execute`]. Allocation-free in
@@ -82,6 +66,9 @@ pub struct Workspace {
     pub col_ck: Vec<MemChecksum>,
     /// Per-column output classic checksums (Fig 2).
     pub out_ck: Vec<MemChecksum>,
+    /// Per-column ω₃-weighted output pairs (Fig 3), read only when the
+    /// final CMCV fails.
+    pub out_pairs: Vec<CombinedChecksum>,
     /// Incremental slots for second-part input checksums (Fig 3, §4.3).
     pub slots: IncrementalSlots,
     /// DMR-generated `rA` for the m-point first-part FFTs (`m` long).
@@ -108,7 +95,7 @@ pub struct Workspace {
 impl FtFftPlan {
     /// Plans the protected transform described by `spec` — the primary
     /// constructor. The spec is resolved here (env overrides applied
-    /// exactly once, at build time); its pinned kernel/layout/strategy
+    /// exactly once, at build time); its pinned kernel/layout
     /// knobs propagate into every sub-FFT of the decomposition through a
     /// spec-templated [`Planner`], and whatever is left unset falls to the
     /// per-sub-plan-size heuristics.
@@ -127,17 +114,13 @@ impl FtFftPlan {
         };
         let thresholds =
             scaled(thresholds_for_split(n, two.k(), two.m(), 1.0), cfg.threshold_scale);
-        // Part 1 gathers m-element columns into the inner (m-point) plan,
-        // part 2 gathers k-element columns into the outer (k-point) plan.
-        let fused_part1 = fuses(two.m(), two.inner_plan().layout());
-        let fused_part2 = fuses(two.k(), two.outer_plan().layout());
         // Batch plans carry a per-transform Opt-Online sibling over the
         // same resolved spec: the repair path for implicated members and
         // the fallback when a batch never fills. Opt-Online is never
         // BatchChecksum itself, so the recursion is one level deep.
         let repair = (cfg.scheme == Scheme::BatchChecksum)
             .then(|| Box::new(FtFftPlan::from_spec(&spec.with_scheme(Scheme::OnlineCompOpt))));
-        FtFftPlan { cfg, n, dir, two, thresholds, fused_part1, fused_part2, spec, repair }
+        FtFftPlan { cfg, n, dir, two, thresholds, spec, repair }
     }
 
     /// Plans a protected transform of size `n` — a thin wrapper bridging
@@ -208,20 +191,6 @@ impl FtFftPlan {
         self.repair.as_deref()
     }
 
-    /// Whether part-1 (m-element) checksum gathers run the fused
-    /// single-pass path — resolved per sub-plan size and layout at plan
-    /// time.
-    #[inline]
-    pub(crate) fn fused_part1(&self) -> bool {
-        self.fused_part1
-    }
-
-    /// Whether part-2 (k-element) checksum gathers run the fused path.
-    #[inline]
-    pub(crate) fn fused_part2(&self) -> bool {
-        self.fused_part2
-    }
-
     /// Allocates a workspace sized for this plan (and scheme): every buffer
     /// any execute path touches is allocated here, so repeated
     /// [`execute`](FtFftPlan::execute) calls allocate nothing on the clean
@@ -246,6 +215,7 @@ impl FtFftPlan {
             row_ck: vec![MemChecksum { sum: Complex64::ZERO, wsum: Complex64::ZERO }; k],
             col_ck: vec![MemChecksum { sum: Complex64::ZERO, wsum: Complex64::ZERO }; m],
             out_ck: vec![MemChecksum { sum: Complex64::ZERO, wsum: Complex64::ZERO }; m],
+            out_pairs: vec![CombinedChecksum::default(); m],
             slots: IncrementalSlots::new(m),
             ra_m: vec![Complex64::ZERO; m],
             ra_k: vec![Complex64::ZERO; k],
@@ -406,20 +376,5 @@ impl FtFftPlan {
     ) -> FtReport {
         let mut ws = self.make_workspace();
         self.execute(x, out, injector, &mut ws)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fused_rule_needs_aos_and_sixteen_elements() {
-        assert!(fuses(16, Layout::Aos));
-        assert!(fuses(1 << 20, Layout::Aos));
-        assert!(!fuses(15, Layout::Aos));
-        assert!(!fuses(1, Layout::Aos));
-        assert!(!fuses(16, Layout::Soa));
-        assert!(!fuses(1 << 20, Layout::Soa));
     }
 }

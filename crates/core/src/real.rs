@@ -63,7 +63,7 @@ impl RealWorkspace {
 impl RealFtFftPlan {
     /// Plans the protected real transform described by `spec`, whose `n`
     /// is the *real* frame length: the wrapped complex plan is built from
-    /// the same spec at size `n/2`, so pinned kernel/layout/strategy
+    /// the same spec at size `n/2`, so pinned kernel/layout
     /// knobs carry into the packed transform's sub-plans.
     ///
     /// # Panics

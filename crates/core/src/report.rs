@@ -4,6 +4,7 @@
 //! cross-checks it against the injector's fault log (every injected fault
 //! must surface as a detection) and uses the residual maxima for Table 4.
 
+use ftfft_checksum::MemVerdict;
 use ftfft_numeric::Complex64;
 
 /// Counters and residual statistics from one protected execution.
@@ -93,6 +94,53 @@ impl FtReport {
             && self.subfft_recomputed == 0
             && self.full_recomputed == 0
             && self.uncorrectable == 0
+    }
+
+    /// Verifies one memory-protected region and repairs a single located
+    /// fault, re-verifying after every repair: `check(data)` decodes the
+    /// region's stored checksums against `data`, and the element it
+    /// locates as `index` is `data[at(index)]`. Every decode counts as a
+    /// check. A clean region changes nothing else; a repair that
+    /// re-verifies clean within `max_retries + 1` rounds counts one
+    /// detected and one corrected memory fault; an unlocatable fault, or
+    /// one still failing after those rounds, counts one detected and one
+    /// uncorrectable.
+    ///
+    /// The first round subtracts the decoded delta. That leaves an error of
+    /// order ε·|delta|, which for an exponent-bit strike (a delta of 2^32
+    /// times the value or more) still fails the re-check; the second round
+    /// therefore erases the element, so the third decodes its value from
+    /// the other elements alone, whatever the strike's size.
+    pub fn repair_memory(
+        &mut self,
+        data: &mut [Complex64],
+        at: impl Fn(usize) -> usize,
+        max_retries: u32,
+        mut check: impl FnMut(&[Complex64]) -> MemVerdict,
+    ) {
+        let mut rounds = 0u32;
+        loop {
+            self.checks += 1;
+            match check(data) {
+                MemVerdict::Clean => {
+                    if rounds > 0 {
+                        self.mem_detected += 1;
+                        self.mem_corrected += 1;
+                    }
+                    return;
+                }
+                MemVerdict::Located { index, delta } if rounds <= max_retries => {
+                    let slot = &mut data[at(index)];
+                    *slot = if rounds == 1 { Complex64::ZERO } else { *slot - delta };
+                    rounds += 1;
+                }
+                _ => {
+                    self.mem_detected += 1;
+                    self.uncorrectable += 1;
+                    return;
+                }
+            }
+        }
     }
 
     /// Record an accepted part-1 residual.

@@ -123,91 +123,6 @@ pub fn bit_reverse_copy_f64(src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// Out-of-place bit-reversal of a `Complex64` buffer: `dst[rev(i)] = src[i]`.
-///
-/// The `Complex64` mirror of [`bit_reverse_copy_f64`], used by the
-/// two-halves parallel DIT ([`crate::parallel_dit`]) for its three
-/// permutation passes. Large buffers use the same COBRA tiling (32×32
-/// complex tiles, 16 KB — still L1-resident); small buffers fall back to
-/// the incremental reversed-carry copy.
-///
-/// # Panics
-/// Panics if the lengths differ or are not a power of two.
-pub fn bit_reverse_copy_c64(src: &[Complex64], dst: &mut [Complex64]) {
-    let n = src.len();
-    assert_eq!(n, dst.len(), "bit_reverse_copy_c64: length mismatch");
-    assert!(n.is_power_of_two(), "bit_reverse_copy_c64: n={n} not a power of two");
-    let t = n.trailing_zeros();
-    if t <= 2 * COBRA_Q {
-        let mut j = 0usize;
-        for &v in src {
-            dst[j] = v;
-            let mut bit = n >> 1;
-            while bit > 0 && j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-        }
-        return;
-    }
-    let mid_bits = t - 2 * COBRA_Q;
-    // SAFETY: the full outer range never writes the same dst index twice
-    // (the map i ↦ rev(i) is a bijection), and `dst` is exclusively ours.
-    unsafe { bit_reverse_copy_c64_outer(src, dst.as_mut_ptr(), 0..1usize << mid_bits) }
-}
-
-/// Number of COBRA outer iterations of [`bit_reverse_copy_c64`] for a
-/// `2^t`-element buffer, or `None` when that size takes the small-buffer
-/// fallback (not partitionable). The parallel DIT splits this iteration
-/// count across workers via [`bit_reverse_copy_c64_outer`].
-pub fn cobra_outer_blocks(t: u32) -> Option<usize> {
-    (t > 2 * COBRA_Q).then(|| 1usize << (t - 2 * COBRA_Q))
-}
-
-/// One chunk of [`bit_reverse_copy_c64`]'s COBRA outer loop: processes the
-/// mid-bit values in `b_range`, each an independent 32×32-tile pass with
-/// its own stack tile. Distinct `b` values write disjoint `dst` indices,
-/// which is what makes the outer loop safely partitionable across threads.
-///
-/// # Safety
-/// `dst` must point to a buffer of `src.len()` elements, `src.len()` must
-/// be a power of two `2^t` with `t > 2·COBRA_Q`, `b_range` must lie within
-/// `0..cobra_outer_blocks(t)`, and no two concurrent calls may overlap in
-/// `b_range` (their `dst` writes are disjoint exactly when their ranges
-/// are).
-pub unsafe fn bit_reverse_copy_c64_outer(
-    src: &[Complex64],
-    dst: *mut Complex64,
-    b_range: std::ops::Range<usize>,
-) {
-    let n = src.len();
-    let t = n.trailing_zeros();
-    debug_assert!(n.is_power_of_two() && t > 2 * COBRA_Q);
-    let q = COBRA_Q;
-    let w = 1usize << q;
-    let mid_bits = t - 2 * q;
-    debug_assert!(b_range.end <= 1usize << mid_bits);
-    let mut tile = [Complex64::ZERO; 1 << (2 * COBRA_Q)];
-    for b in b_range {
-        let b_rev = reverse_bits(b, mid_bits);
-        for a in 0..w {
-            let a_rev = reverse_bits(a, q);
-            let row = &src[(a << (t - q)) | (b << q)..][..w];
-            tile[a_rev << q..][..w].copy_from_slice(row);
-        }
-        for c in 0..w {
-            let c_rev = reverse_bits(c, q);
-            let base = (c_rev << (t - q)) | (b_rev << q);
-            for a_rev in 0..w {
-                // SAFETY: base + a_rev < n by construction; disjointness
-                // across calls is the caller's contract.
-                unsafe { *dst.add(base | a_rev) = tile[(a_rev << q) | c] };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,42 +186,6 @@ mod tests {
             for (i, &s) in src.iter().enumerate() {
                 assert_eq!(dst[reverse_bits(i, t)], s, "t={t} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn c64_cobra_copy_matches_naive_reversal() {
-        // Below, at, and above the COBRA threshold, including the smallest
-        // blocked size with a single mid bit (2^11).
-        for t in [0u32, 1, 4, 10, 11, 13] {
-            let n = 1usize << t;
-            let src: Vec<_> = (0..n).map(|i| c64(i as f64, -(i as f64))).collect();
-            let mut dst = vec![Complex64::ZERO; n];
-            bit_reverse_copy_c64(&src, &mut dst);
-            for (i, &s) in src.iter().enumerate() {
-                assert_eq!(dst[reverse_bits(i, t)], s, "t={t} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn c64_cobra_outer_chunks_compose_to_full_copy() {
-        let t = 13u32;
-        let n = 1usize << t;
-        let src: Vec<_> = (0..n).map(|i| c64(i as f64, 0.5 - i as f64)).collect();
-        let mut whole = vec![Complex64::ZERO; n];
-        bit_reverse_copy_c64(&src, &mut whole);
-        let blocks = cobra_outer_blocks(t).unwrap();
-        for split in [1usize, 2, 3, 5, blocks] {
-            let mut dst = vec![Complex64::ZERO; n];
-            let mut start = 0;
-            for part in 0..split {
-                let end = (part + 1) * blocks / split;
-                // SAFETY: ranges are disjoint and within 0..blocks.
-                unsafe { bit_reverse_copy_c64_outer(&src, dst.as_mut_ptr(), start..end) };
-                start = end;
-            }
-            assert_eq!(dst, whole, "split={split}");
         }
     }
 }

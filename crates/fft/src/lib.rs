@@ -35,7 +35,6 @@ pub mod direction;
 pub mod factor;
 pub mod mixed;
 pub mod naive;
-pub mod parallel_dit;
 pub mod planner;
 pub mod radix2;
 pub mod radix4;
@@ -43,6 +42,7 @@ pub mod real;
 pub mod soa;
 pub mod split_radix;
 pub mod strided;
+pub mod threads;
 pub mod three_layer;
 pub mod twiddle_table;
 pub mod two_layer;
@@ -52,12 +52,12 @@ pub use direction::{normalize, Direction};
 pub use factor::{factorize, is_power_of_two, split_balanced, split_three};
 pub use mixed::MixedPlan;
 pub use naive::dft_naive;
-pub use parallel_dit::{chunk_range, resolve_threads, ParallelDitPlan, THREADS_ENV};
 pub use planner::{
-    batch_break_even, fft, force_layout, force_strategy, ifft, FftPlan, FftSpec, Layout, Planner,
-    Pow2Kernel, Strategy, KERNEL_ENV, LAYOUT_ENV, PARALLEL_MIN, STRATEGY_ENV,
+    batch_break_even, fft, force_layout, ifft, FftPlan, FftSpec, Layout, Planner, Pow2Kernel,
+    Strategy, KERNEL_ENV, LAYOUT_ENV,
 };
 pub use real::{irfft, rfft, RealFftPlan};
+pub use threads::{chunk_range, resolve_threads, THREADS_ENV};
 pub use three_layer::{ThreeLayerPlan, ThreeLayerScratch};
 pub use twiddle_table::TwiddleTable;
 pub use two_layer::{TwoLayerPlan, TwoLayerScratch};

@@ -19,7 +19,6 @@ use crate::bluestein::BluesteinPlan;
 use crate::direction::Direction;
 use crate::factor::{is_power_of_two, is_smooth};
 use crate::mixed::MixedPlan;
-use crate::parallel_dit::{resolve_threads, ParallelDitPlan};
 use crate::radix2::{fft_radix2_inplace, radix2_stages};
 use crate::radix4::{fft_radix4_inplace, radix4_stages};
 use crate::soa::{fft_radix2_soa, fft_radix4_soa};
@@ -42,86 +41,17 @@ pub const KERNEL_ENV: &str = "FTFFT_KERNEL";
 /// (`soa` | `aos` | `auto`) — the A/B switch for the split-complex engine.
 pub const LAYOUT_ENV: &str = "FTFFT_LAYOUT";
 
-/// Environment variable overriding the execution-strategy heuristic
-/// (`parallel` | `serial` | `auto`) — the A/B switch for the two-halves
-/// parallel DIT on single large power-of-two transforms.
-pub const STRATEGY_ENV: &str = "FTFFT_STRATEGY";
-
-/// Smallest power-of-two size at which the `auto` strategy runs a single
-/// transform through the two-halves parallel DIT: below this the five-phase
-/// pipeline's extra permutation passes and per-execute worker spawns
-/// outweigh the butterfly-work split (each half is only `t/2 ≈ 9` stages
-/// at the cutoff).
-pub const PARALLEL_MIN: usize = 1 << 18;
-
-/// Execution strategy for a single power-of-two transform.
+/// Execution strategy of a power-of-two plan. Every plan runs the serial
+/// kernel family ([`Pow2Kernel`] + [`Layout`]), so `Serial` is the only
+/// variant and pinning it changes nothing.
+///
+/// Kept only because the benchmark package (`ftbench/`) still pins it
+/// through [`FftSpec::with_strategy`] and `PlanSpecBuilder::strategy`; the
+/// type and both setters go with the next change to that package.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Size- and thread-aware heuristic: the two-halves parallel DIT for
-    /// `n ≥ 2^18` when more than one worker is available, serial kernels
-    /// otherwise.
-    Auto,
-    /// Always the serial kernel family ([`Pow2Kernel`] + [`Layout`]).
+    /// The serial kernel family.
     Serial,
-    /// Always the two-halves parallel DIT ([`crate::parallel_dit`]).
-    Parallel,
-}
-
-impl Strategy {
-    /// Stable lowercase name (accepted back through [`STRATEGY_ENV`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Auto => "auto",
-            Strategy::Serial => "serial",
-            Strategy::Parallel => "parallel",
-        }
-    }
-
-    /// Parses a strategy name.
-    pub fn parse(name: &str) -> Option<Strategy> {
-        match name.to_ascii_lowercase().as_str() {
-            "auto" | "" => Some(Strategy::Auto),
-            "serial" => Some(Strategy::Serial),
-            "parallel" => Some(Strategy::Parallel),
-            _ => None,
-        }
-    }
-
-    /// The override tier of strategy resolution: a [`force_strategy`]
-    /// pin first, then the `FTFFT_STRATEGY` variable (panicking on an
-    /// unknown name — a silent typo would invalidate an A/B run), `None`
-    /// when neither is set and the heuristic should decide.
-    pub fn env_or_forced() -> Option<Strategy> {
-        match FORCED_STRATEGY.load(Ordering::Relaxed) {
-            1 => return Some(Strategy::Auto),
-            2 => return Some(Strategy::Serial),
-            3 => return Some(Strategy::Parallel),
-            _ => {}
-        }
-        match std::env::var(STRATEGY_ENV) {
-            Ok(v) => Some(
-                Strategy::parse(&v)
-                    .unwrap_or_else(|| panic!("{STRATEGY_ENV}={v:?} is not parallel|serial|auto")),
-            ),
-            Err(_) => None,
-        }
-    }
-
-    /// The strategy in force: [`Strategy::env_or_forced`] when set,
-    /// [`Strategy::Auto`] otherwise.
-    pub fn choose() -> Strategy {
-        Strategy::env_or_forced().unwrap_or(Strategy::Auto)
-    }
-
-    /// Whether this strategy routes an `n`-point power-of-two transform
-    /// with `threads` available workers to the parallel DIT.
-    pub fn picks_parallel(self, n: usize, threads: usize) -> bool {
-        match self {
-            Strategy::Serial => false,
-            Strategy::Parallel => true,
-            Strategy::Auto => n >= PARALLEL_MIN && threads > 1,
-        }
-    }
 }
 
 /// Smallest power-of-two size at which the layout heuristic picks the
@@ -153,26 +83,6 @@ pub enum Layout {
 
 /// 0 = no override, 1 = aos, 2 = soa.
 static FORCED_LAYOUT: AtomicU8 = AtomicU8::new(0);
-
-/// 0 = no override, 1 = auto, 2 = serial, 3 = parallel.
-static FORCED_STRATEGY: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide execution-strategy override: `Some(s)` makes every
-/// subsequent plan construction use `s` regardless of `FTFFT_STRATEGY`
-/// (`None` re-enables env + heuristic). Intended for tests that must pin
-/// the serial schedule — e.g. the no-allocation assertions, since the
-/// multi-worker parallel schedule spawns scoped threads per execute by
-/// design. Safe to flip concurrently because both strategies produce
-/// bitwise-identical transforms.
-pub fn force_strategy(strategy: Option<Strategy>) {
-    let v = match strategy {
-        None => 0,
-        Some(Strategy::Auto) => 1,
-        Some(Strategy::Serial) => 2,
-        Some(Strategy::Parallel) => 3,
-    };
-    FORCED_STRATEGY.store(v, Ordering::Relaxed);
-}
 
 impl Layout {
     /// Both layouts, in `BENCH_PR.json` reporting order.
@@ -404,19 +314,13 @@ pub struct FftSpec {
     /// the size heuristic. Split-radix has no SoA engine, so resolution
     /// sets its layout to [`Layout::Aos`] whichever tier chose it.
     pub layout: Option<Layout>,
-    /// Execution strategy; `None` defers to
-    /// `force_strategy`/`FTFFT_STRATEGY`, then [`Strategy::Auto`].
-    pub strategy: Option<Strategy>,
-    /// Worker count for the parallel strategy; `None` defers to
-    /// `FTFFT_THREADS`, then hardware parallelism.
-    pub threads: Option<usize>,
 }
 
 impl FftSpec {
     /// A spec with every knob unset: resolution reproduces exactly what
     /// [`FftPlan::new`] picks.
     pub fn new(n: usize, dir: Direction) -> FftSpec {
-        FftSpec { n, dir, kernel: None, layout: None, strategy: None, threads: None }
+        FftSpec { n, dir, kernel: None, layout: None }
     }
 
     /// Pins the power-of-two kernel.
@@ -431,21 +335,22 @@ impl FftSpec {
         self
     }
 
-    /// Pins the execution strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> FftSpec {
-        self.strategy = Some(strategy);
+    /// No-op: every plan is serial. Kept only for the benchmark package
+    /// (`ftbench/`), which still pins [`Strategy::Serial`]; goes with the
+    /// next change to that package.
+    pub fn with_strategy(self, _strategy: Strategy) -> FftSpec {
         self
     }
 
-    /// Pins the worker count.
-    pub fn with_threads(mut self, threads: usize) -> FftSpec {
-        self.threads = Some(threads.max(1));
+    /// No-op: a single transform runs on the calling thread. Kept only for
+    /// the benchmark package (`ftbench/`), which still pins one thread;
+    /// goes with the next change to that package.
+    pub fn with_threads(self, _threads: usize) -> FftSpec {
         self
     }
 
     /// The env/forced tier of resolution: fills every still-unset knob
-    /// from its `FTFFT_*` variable or `force_*` override (and the thread
-    /// count from `FTFFT_THREADS`/hardware parallelism), leaving knobs
+    /// from its `FTFFT_*` variable or `force_*` override, leaving knobs
     /// with no override unset for the heuristic tier. This is the single
     /// point where the environment enters spec resolution; explicit
     /// builder choices are never overwritten.
@@ -453,36 +358,19 @@ impl FftSpec {
         if is_power_of_two(self.n) {
             self.kernel = self.kernel.or_else(Pow2Kernel::env_override);
             self.layout = self.layout.or_else(Layout::env_or_forced);
-            self.strategy = self.strategy.or_else(Strategy::env_or_forced);
         }
-        self.threads = self.threads.or_else(|| Some(resolve_threads(None)));
         self
     }
 
     /// Full resolution: [`FftSpec::from_env_overrides`], then the planner
     /// heuristics fill whatever is still unset. The result is canonical —
     /// every knob that matters for the built plan is `Some`, and knobs
-    /// that cannot matter are cleared or pinned (`kernel`/`layout` under
-    /// the parallel strategy, all three for non-power-of-two sizes, the
-    /// layout of split-radix to AoS), so equal resolved specs build
-    /// identical plans.
+    /// that cannot matter are cleared or pinned (both for non-power-of-two
+    /// sizes, the layout of split-radix to AoS), so equal resolved specs
+    /// build identical plans.
     pub fn resolve(self) -> FftSpec {
         let mut s = self.from_env_overrides();
         if !is_power_of_two(s.n) {
-            s.kernel = None;
-            s.layout = None;
-            s.strategy = None;
-            return s;
-        }
-        let threads = s.threads.unwrap_or(1);
-        let strategy = s.strategy.unwrap_or(Strategy::Auto);
-        let strategy = if strategy.picks_parallel(s.n, threads) {
-            Strategy::Parallel
-        } else {
-            Strategy::Serial
-        };
-        s.strategy = Some(strategy);
-        if strategy == Strategy::Parallel {
             s.kernel = None;
             s.layout = None;
             return s;
@@ -509,7 +397,6 @@ enum Kernel {
     Radix4Soa(SoaRadix4Twiddles),
     Mixed(MixedPlan),
     Bluestein(BluesteinPlan),
-    ParallelDit(ParallelDitPlan),
 }
 
 /// An executable FFT plan for one size and direction.
@@ -540,16 +427,11 @@ impl FftPlan {
         }
         let r = spec.resolve();
         if is_power_of_two(r.n) {
-            if r.strategy == Some(Strategy::Parallel) {
-                let threads = r.threads.unwrap_or(1);
-                let kernel = Kernel::ParallelDit(ParallelDitPlan::new(r.n, r.dir, threads));
-                return FftPlan { n: r.n, dir: r.dir, kernel };
-            }
             Self::new_with_kernel_layout(
                 r.n,
                 r.dir,
-                r.kernel.expect("resolved serial spec pins a kernel"),
-                r.layout.expect("resolved serial spec pins a layout"),
+                r.kernel.expect("resolved power-of-two spec pins a kernel"),
+                r.layout.expect("resolved power-of-two spec pins a layout"),
             )
         } else if is_smooth(r.n, SMOOTH_LIMIT) {
             FftPlan { n: r.n, dir: r.dir, kernel: Kernel::Mixed(MixedPlan::new(r.n, r.dir)) }
@@ -564,10 +446,8 @@ impl FftPlan {
 
     /// Plans a transform of size `n ≥ 1` with every knob resolved by the
     /// env overrides and heuristics — shorthand for
-    /// [`FftPlan::from_spec`] on [`FftSpec::new`]: single large
-    /// power-of-two transforms go to the two-halves parallel DIT when
-    /// more than one worker is available, everything else to the fastest
-    /// serial kernel for the size.
+    /// [`FftPlan::from_spec`] on [`FftSpec::new`]: the fastest kernel for
+    /// the size.
     pub fn new(n: usize, dir: Direction) -> Self {
         Self::from_spec(&FftSpec::new(n, dir))
     }
@@ -617,16 +497,6 @@ impl FftPlan {
             Kernel::SplitRadix(_) => Pow2Kernel::SplitRadix.name(),
             Kernel::Mixed(_) => "mixed",
             Kernel::Bluestein(_) => "bluestein",
-            Kernel::ParallelDit(_) => "parallel-dit",
-        }
-    }
-
-    /// Worker count for the parallel-DIT strategy (`None` for the serial
-    /// kernels).
-    pub fn strategy_threads(&self) -> Option<usize> {
-        match &self.kernel {
-            Kernel::ParallelDit(p) => Some(p.threads()),
-            _ => None,
         }
     }
 
@@ -662,8 +532,6 @@ impl FftPlan {
             // Mixed and Bluestein stage an input copy for in-place runs.
             Kernel::Mixed(p) => self.n + p.scratch_len(),
             Kernel::Bluestein(p) => self.n + p.scratch_len(),
-            // The five-phase parallel pipeline stages through two buffers.
-            Kernel::ParallelDit(p) => p.scratch_len(),
         }
     }
 
@@ -693,7 +561,6 @@ impl FftPlan {
                 copy.copy_from_slice(data);
                 p.execute(copy, data, rest);
             }
-            Kernel::ParallelDit(p) => p.execute_inplace(data, scratch),
         }
     }
 
@@ -722,7 +589,6 @@ impl FftPlan {
             }
             Kernel::Mixed(p) => p.execute(src, dst, &mut scratch[..p.scratch_len()]),
             Kernel::Bluestein(p) => p.execute(src, dst, scratch),
-            Kernel::ParallelDit(p) => p.execute(src, dst, scratch),
         }
     }
 
@@ -777,10 +643,7 @@ impl FftPlan {
                 let (a_re, a_im) = simd::planes_mut(a);
                 gather_blocks(src, offset, stride, n, |t0, blk| {
                     visit(t0, blk);
-                    for (i, v) in blk.iter().enumerate() {
-                        a_re[t0 + i] = v.re;
-                        a_im[t0 + i] = v.im;
-                    }
+                    simd::deinterleave(blk, &mut a_re[t0..], &mut a_im[t0..]);
                 });
                 let (b_re, b_im) = simd::planes_mut(b);
                 self.execute_split(a_re, a_im, b_re, b_im);
@@ -800,10 +663,6 @@ impl FftPlan {
                 let (copy, rest) = scratch.split_at_mut(n);
                 gather_natural(src, offset, stride, copy, visit);
                 p.execute(copy, out, rest);
-            }
-            Kernel::ParallelDit(p) => {
-                gather_natural(src, offset, stride, out, visit);
-                p.execute_inplace(out, scratch);
             }
         }
     }
@@ -925,7 +784,7 @@ impl Planner {
     }
 
     /// Creates an empty planner whose plans inherit `template`'s pinned
-    /// knobs (kernel, layout, strategy, threads); the template's `n` and
+    /// knobs (kernel, layout); the template's `n` and
     /// `dir` are replaced per [`Planner::plan`] call, and unset knobs
     /// still resolve per size. This is how a `PlanSpec`'s choices
     /// propagate into every sub-FFT of a decomposition.
@@ -978,24 +837,17 @@ mod tests {
     use crate::naive::dft_naive;
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
-    /// A forward serial plan with the kernel and layout pinned.
+    /// A forward plan with the kernel and layout pinned.
     fn pinned(n: usize, kernel: Pow2Kernel, layout: Layout) -> FftPlan {
         FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_kernel(kernel)
-                .with_layout(layout)
-                .with_strategy(Strategy::Serial),
+            &FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_layout(layout),
         )
     }
 
-    /// A forward serial plan with the kernel pinned and the layout left to
-    /// the env/heuristic tiers.
+    /// A forward plan with the kernel pinned and the layout left to the
+    /// env/heuristic tiers.
     fn pinned_kernel(n: usize, kernel: Pow2Kernel) -> FftPlan {
-        FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_kernel(kernel)
-                .with_strategy(Strategy::Serial),
-        )
+        FftPlan::from_spec(&FftSpec::new(n, Direction::Forward).with_kernel(kernel))
     }
 
     #[test]
@@ -1176,73 +1028,13 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_round_trip_and_heuristic() {
-        for s in [Strategy::Auto, Strategy::Serial, Strategy::Parallel] {
-            assert_eq!(Strategy::parse(s.name()), Some(s));
-        }
-        assert_eq!(Strategy::parse("PARALLEL"), Some(Strategy::Parallel));
-        assert_eq!(Strategy::parse("threads"), None);
-        assert!(!Strategy::Serial.picks_parallel(1 << 20, 8));
-        assert!(Strategy::Parallel.picks_parallel(1 << 4, 1));
-        assert!(Strategy::Auto.picks_parallel(PARALLEL_MIN, 2));
-        assert!(!Strategy::Auto.picks_parallel(PARALLEL_MIN, 1));
-        assert!(!Strategy::Auto.picks_parallel(PARALLEL_MIN / 2, 8));
-    }
-
-    #[test]
-    fn force_strategy_overrides_env_and_heuristic() {
-        // The override must beat both the heuristic (Auto would say
-        // serial at this tiny size) and whatever FTFFT_STRATEGY the
-        // surrounding test run exported. Restore the default before
-        // returning so concurrent tests see no lasting pin (both
-        // strategies are bitwise-identical, so a transient flip is
-        // harmless to them).
-        force_strategy(Some(Strategy::Parallel));
-        assert_eq!(Strategy::choose(), Strategy::Parallel);
-        force_strategy(Some(Strategy::Serial));
-        assert_eq!(Strategy::choose(), Strategy::Serial);
-        force_strategy(None);
-    }
-
-    #[test]
-    fn parallel_plan_dispatches_and_matches_serial_radix2() {
-        let n = 1 << 10;
-        let x = uniform_signal(n, 5);
-        let serial = pinned(n, Pow2Kernel::Radix2, Layout::Aos);
-        let mut want = vec![Complex64::ZERO; n];
-        let mut s = vec![Complex64::ZERO; serial.scratch_len()];
-        serial.execute(&x, &mut want, &mut s);
-        for threads in [1usize, 4] {
-            let plan = FftPlan::from_spec(
-                &FftSpec::new(n, Direction::Forward)
-                    .with_strategy(Strategy::Parallel)
-                    .with_threads(threads),
-            );
-            assert_eq!(plan.kernel_name(), "parallel-dit");
-            assert_eq!(plan.layout(), Layout::Aos);
-            assert!(!plan.supports_split());
-            assert_eq!(plan.strategy_threads(), Some(threads));
-            let mut dst = vec![Complex64::ZERO; n];
-            let mut s = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute(&x, &mut dst, &mut s);
-            assert_eq!(dst, want, "threads={threads}");
-            let mut ip = x.clone();
-            plan.execute_inplace(&mut ip, &mut s);
-            assert_eq!(ip, want, "threads={threads} in-place");
-        }
-    }
-
-    #[test]
     fn spec_resolution_prefers_explicit_over_heuristic() {
         // Heuristic at 2^16 would pick radix-4 (SoA engine in force by
         // default); an explicit builder kernel wins.
-        let spec = FftSpec::new(1 << 16, Direction::Forward)
-            .with_kernel(Pow2Kernel::Radix2)
-            .with_strategy(Strategy::Serial);
+        let spec = FftSpec::new(1 << 16, Direction::Forward).with_kernel(Pow2Kernel::Radix2);
         let r = spec.resolve();
         assert_eq!(r.kernel, Some(Pow2Kernel::Radix2));
-        assert_eq!(r.strategy, Some(Strategy::Serial));
-        assert!(r.layout.is_some() && r.threads.is_some(), "resolution is total");
+        assert!(r.layout.is_some(), "resolution is total");
     }
 
     #[test]
@@ -1251,15 +1043,12 @@ mod tests {
         // layout but must not overwrite an explicit builder layout.
         let _guard = FORCE_LAYOUT_LOCK.lock();
         force_layout(Some(Layout::Aos));
-        let forced = FftSpec::new(1 << 12, Direction::Forward)
-            .with_kernel(Pow2Kernel::Radix4)
-            .with_strategy(Strategy::Serial)
-            .resolve();
+        let forced =
+            FftSpec::new(1 << 12, Direction::Forward).with_kernel(Pow2Kernel::Radix4).resolve();
         assert_eq!(forced.layout, Some(Layout::Aos));
         let explicit = FftSpec::new(1 << 12, Direction::Forward)
             .with_kernel(Pow2Kernel::Radix4)
             .with_layout(Layout::Soa)
-            .with_strategy(Strategy::Serial)
             .resolve();
         assert_eq!(explicit.layout, Some(Layout::Soa));
         force_layout(None);
@@ -1271,17 +1060,9 @@ mod tests {
             let r = FftSpec::new(n, Direction::Forward).resolve();
             assert_eq!(r, r.resolve(), "n={n} resolve must be a fixpoint");
             if !is_power_of_two(n) {
-                assert_eq!((r.kernel, r.layout, r.strategy), (None, None, None), "n={n}");
+                assert_eq!((r.kernel, r.layout), (None, None), "n={n}");
             }
         }
-        // Parallel resolutions clear the serial-only knobs so equal
-        // resolved specs build identical plans.
-        let par = FftSpec::new(1 << 10, Direction::Forward)
-            .with_strategy(Strategy::Parallel)
-            .with_threads(2)
-            .resolve();
-        assert_eq!(par.strategy, Some(Strategy::Parallel));
-        assert_eq!((par.kernel, par.layout), (None, None));
     }
 
     #[test]
@@ -1292,7 +1073,6 @@ mod tests {
             FftSpec::new(1 << 10, Direction::Forward)
                 .with_kernel(Pow2Kernel::SplitRadix)
                 .with_layout(layout)
-                .with_strategy(Strategy::Serial)
         };
         let (soa, aos) = (spec(Layout::Soa).resolve(), spec(Layout::Aos).resolve());
         assert_eq!(soa, aos);
@@ -1308,8 +1088,7 @@ mod tests {
     fn planner_with_spec_pins_sub_plan_knobs() {
         let template = FftSpec::new(0, Direction::Forward)
             .with_kernel(Pow2Kernel::Radix2)
-            .with_layout(Layout::Aos)
-            .with_strategy(Strategy::Serial);
+            .with_layout(Layout::Aos);
         let p = Planner::with_spec(template);
         for n in [64usize, 4096] {
             let plan = p.plan(n, Direction::Forward);

@@ -144,9 +144,7 @@ const TRANSPOSE_BLOCK: usize = 16;
 /// Tiled into `TRANSPOSE_BLOCK`² blocks so that large matrices (the
 /// six-step engine's `p × b` frame matrices, the two-layer `k × m`
 /// stages) stream whole cache lines on both sides instead of striding
-/// `dst` by `rows` on every element — the cache-blocked fallback path of
-/// the two-halves parallel DIT for sizes where the z-space blocks
-/// outgrow L2.
+/// `dst` by `rows` on every element.
 pub fn transpose_out_of_place(src: &[Complex64], dst: &mut [Complex64], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols);
     assert_eq!(dst.len(), rows * cols);

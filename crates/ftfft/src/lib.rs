@@ -62,9 +62,9 @@ pub mod prelude {
         RandomInjector, RandomKind, ScriptedFault, ScriptedInjector, Site,
     };
     pub use ftfft_fft::{
-        batch_break_even, dft_naive, fft, force_layout, force_strategy, ifft, irfft, normalize,
-        rfft, Direction, FftPlan, FftSpec, Layout, Planner, Pow2Kernel, RealFftPlan, Strategy,
-        KERNEL_ENV, LAYOUT_ENV, PARALLEL_MIN, STRATEGY_ENV,
+        batch_break_even, dft_naive, fft, force_layout, ifft, irfft, normalize, rfft, Direction,
+        FftPlan, FftSpec, Layout, Planner, Pow2Kernel, RealFftPlan, Strategy, KERNEL_ENV,
+        LAYOUT_ENV,
     };
     pub use ftfft_numeric::{
         inf_norm, normal_signal, relative_error_inf, simd_level, uniform_signal, Complex64,

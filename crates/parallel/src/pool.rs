@@ -28,7 +28,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-pub use ftfft_fft::THREADS_ENV;
+/// The single chunking rule every pooled executor uses, so row/buffer
+/// pre-splits always line up with [`ThreadPool::run_chunks`], and the
+/// worker-count resolution (explicit config, then `FTFFT_THREADS`, then
+/// available parallelism) the whole workspace shares.
+pub use ftfft_fft::{chunk_range, resolve_threads, THREADS_ENV};
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -198,26 +202,6 @@ impl Drop for WaitGuard<'_> {
             let _ = self.rx.recv();
         }
     }
-}
-
-/// The contiguous index range worker `w` of `t` owns when `items` items
-/// are split. Remainder-first balancing ([`ftfft_fft::chunk_range`] — the
-/// same rule the two-halves parallel DIT uses): the first `items % t`
-/// workers get one extra item, so chunk sizes never differ by more than
-/// one and the last worker is never idle while worker 0 double-loads.
-/// The single chunking rule every pooled executor uses, so row/buffer
-/// pre-splits always line up with [`ThreadPool::run_chunks`].
-pub fn chunk_range(items: usize, t: usize, w: usize) -> Range<usize> {
-    ftfft_fft::chunk_range(items, t, w)
-}
-
-/// Resolves a pooled executor's worker count: an explicit `cfg` value wins;
-/// else a positive [`THREADS_ENV`] value; else the machine's available
-/// parallelism; at least 1. Shared with the FFT planner's parallel
-/// strategy ([`ftfft_fft::resolve_threads`]) so both layers always agree
-/// on the worker count.
-pub fn resolve_threads(cfg: Option<usize>) -> usize {
-    ftfft_fft::resolve_threads(cfg)
 }
 
 #[cfg(test)]

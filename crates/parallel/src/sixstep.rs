@@ -23,8 +23,8 @@
 use std::sync::Arc;
 
 use ftfft_checksum::{
-    ccv, combined_checksum, combined_decode, decode, input_checksum_vector, mem_checksum,
-    CombinedChecksum, IncrementalSlots, MemVerdict,
+    ccv, combined_checksum, combined_decode, input_checksum_vector, mem_verify, CombinedChecksum,
+    IncrementalSlots, MemVerdict,
 };
 use ftfft_core::{FtReport, InPlaceFtPlan};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
@@ -371,20 +371,7 @@ impl ParallelFft {
             rep.merge(&r);
             // Postponed MCV of the whole FFT2 output before it is scattered
             // (repairs e.g. the OutputMemory window inside execute).
-            rep.checks += 1;
-            let observed = mem_checksum(&z);
-            match decode(observed, pair, n, tol_comm) {
-                MemVerdict::Clean => {}
-                MemVerdict::Located { index, delta } => {
-                    rep.mem_detected += 1;
-                    rep.mem_corrected += 1;
-                    z[index] -= delta;
-                }
-                MemVerdict::Unlocatable => {
-                    rep.mem_detected += 1;
-                    rep.uncorrectable += 1;
-                }
-            }
+            rep.repair_memory(&mut z, |i| i, self.max_retries, |z| mem_verify(z, pair, tol_comm));
             Some(pair)
         } else {
             let mut s = self.three.make_scratch();

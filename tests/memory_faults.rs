@@ -2,6 +2,8 @@
 //! across input / intermediate / output regions, for both hierarchies
 //! (Fig 2 and Fig 3) and the offline-with-memory baseline.
 
+use std::ops::Range;
+
 use ftfft::prelude::*;
 
 const N: usize = 1024;
@@ -234,4 +236,218 @@ fn opt_online_output_fault_corrected_at_every_position() {
     residues.sort_unstable();
     residues.dedup();
     assert_eq!(residues, vec![0, 1, 2], "the splits must cover every m mod 3");
+}
+
+/// Elements struck by the bit sweeps: both ends of the buffer and two
+/// interior positions in different sub-FFT columns.
+fn swept_elements(n: usize) -> [usize; 4] {
+    [0, 7, 129, n - 1]
+}
+
+/// Single-bit strikes: every bit in `bits` of the real and imaginary part
+/// of every swept element.
+fn strikes(n: usize, bits: Range<u8>) -> impl Iterator<Item = (usize, FaultKind)> {
+    swept_elements(n).into_iter().flat_map(move |element| {
+        bits.clone().flat_map(move |bit| {
+            [Component::Re, Component::Im]
+                .map(move |component| (element, FaultKind::BitFlip { bit, component }))
+        })
+    })
+}
+
+/// How one struck run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Outcome {
+    /// Detected, and the output is within 1e-9 of the fault-free run.
+    Corrected,
+    /// The report carries `uncorrectable > 0`: a typed failure.
+    TypedError,
+    /// Not a typed failure, and the output error is within the run's
+    /// largest σ̂-scaled §8 threshold: below what the checks can resolve.
+    BelowBound,
+    /// Reported clean or corrected, but the output is wrong: silent data
+    /// corruption.
+    Sdc,
+    /// The scheme never exposes this site, so the strike never fired.
+    NotVisited,
+}
+
+impl Outcome {
+    const ALL: [Outcome; 5] = [
+        Outcome::Corrected,
+        Outcome::TypedError,
+        Outcome::BelowBound,
+        Outcome::Sdc,
+        Outcome::NotVisited,
+    ];
+
+    fn of(rep: &FtReport, fired: bool, err: f64, bound: f64) -> Outcome {
+        if !fired {
+            Outcome::NotVisited
+        } else if rep.uncorrectable > 0 {
+            Outcome::TypedError
+        } else if rep.total_detected() > 0 && err <= 1e-9 {
+            Outcome::Corrected
+        } else if err <= bound.max(1e-9) {
+            Outcome::BelowBound
+        } else {
+            Outcome::Sdc
+        }
+    }
+}
+
+/// Strikes `bits` at every swept element of `site` of a `2^log2n` plan
+/// under `scheme` and returns every run's outcome. A memory-protected
+/// scheme must never end in SDC.
+fn sweep_scheme(scheme: Scheme, log2n: u32, site: Site, bits: Range<u8>) -> Vec<Outcome> {
+    let n = 1usize << log2n;
+    let x = uniform_signal(n, 0x5EED + log2n as u64);
+    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+    let th = plan.thresholds_for(&x);
+    let offline = if scheme.is_online() { 0.0 } else { th.eta_offline };
+    let bound = [th.eta1, th.eta2, offline, th.eta_mem_in, th.eta_mem_mid, th.eta_mem_out]
+        .into_iter()
+        .fold(0.0, f64::max);
+    let mut ws = plan.make_workspace();
+    let mut clean = vec![Complex64::ZERO; n];
+    assert!(plan.execute(&mut x.clone(), &mut clean, &NoFaults, &mut ws).is_clean());
+    let mut out = vec![Complex64::ZERO; n];
+    strikes(n, bits)
+        .map(|(element, kind)| {
+            let inj = ScriptedInjector::new(vec![ScriptedFault::new(site, element, kind)]);
+            let rep = plan.execute(&mut x.clone(), &mut out, &inj, &mut ws);
+            let err = ftfft::numeric::max_abs_diff(&out, &clean);
+            let outcome = Outcome::of(&rep, inj.exhausted(), err, bound);
+            assert!(
+                outcome != Outcome::Sdc || !scheme.protects_memory(),
+                "{scheme:?} n={n} {site:?} el={element} {kind:?}: err {err:e} \
+                 (bound {bound:e}) with {rep:?}"
+            );
+            outcome
+        })
+        .collect()
+}
+
+/// [`sweep_scheme`] for [`InPlaceFtPlan`], which checks only its
+/// intermediate chunks itself (the output pair goes back to the caller).
+fn sweep_in_place(log2n: u32, bits: Range<u8>) -> Vec<Outcome> {
+    let n = 1usize << log2n;
+    let x = uniform_signal(n, 0x5EED + log2n as u64);
+    let plan = InPlaceFtPlan::new(n, Direction::Forward, 3);
+    let sigma = ftfft::roundoff::input_sigma(ftfft::numeric::simd::energy(&x), n);
+    let bound = sigma * plan.eta_a().max(plan.eta_c());
+    let mut ws = plan.make_workspace();
+    let mut clean = x.clone();
+    assert!(plan.execute(&mut clean, &NoFaults, &mut ws, 0, None).0.is_clean());
+    strikes(n, bits)
+        .map(|(element, kind)| {
+            let inj = ScriptedInjector::new(vec![ScriptedFault::new(
+                Site::IntermediateMemory,
+                element,
+                kind,
+            )]);
+            let mut data = x.clone();
+            let (rep, _) = plan.execute(&mut data, &inj, &mut ws, 0, None);
+            let err = ftfft::numeric::max_abs_diff(&data, &clean);
+            let outcome = Outcome::of(&rep, inj.exhausted(), err, bound);
+            assert!(
+                outcome != Outcome::Sdc,
+                "in-place n={n} el={element} {kind:?}: err {err:e} (bound {bound:e}) with {rep:?}"
+            );
+            outcome
+        })
+        .collect()
+}
+
+const MEMORY_SITES: [Site; 3] = [Site::InputMemory, Site::IntermediateMemory, Site::OutputMemory];
+
+/// Exponent and sign bits: a strike there either changes the value by at
+/// least a factor of two or flips its sign.
+const HIGH_BITS: Range<u8> = 52..64;
+
+/// Asserts that every high-bit strike ended repaired or typed.
+fn assert_repaired_or_typed(what: &str, outcomes: &[Outcome]) {
+    for o in outcomes {
+        assert!(matches!(o, Outcome::Corrected | Outcome::TypedError), "{what}: {o:?}");
+    }
+}
+
+/// A memory strike on any exponent or sign bit must be repaired — output
+/// within 1e-9 of the fault-free run — or surface as a typed failure
+/// (`uncorrectable > 0`). An exponent strike can make the decoded delta
+/// 2^32 times the value or more, so a single `x -= delta` leaves an error
+/// of order ε·|delta|: each repair must re-verify before it counts.
+#[test]
+fn high_bit_strikes_on_online_mem_are_repaired_or_typed() {
+    for log2n in [10, 12] {
+        for site in MEMORY_SITES {
+            let outcomes = sweep_scheme(Scheme::OnlineMem, log2n, site, HIGH_BITS);
+            assert_repaired_or_typed(&format!("2^{log2n} {site:?}"), &outcomes);
+        }
+    }
+}
+
+/// The same sweep for Opt-Online(m), whose output check is one CMCV over
+/// the whole transform.
+#[test]
+fn high_bit_strikes_on_opt_online_mem_are_repaired_or_typed() {
+    for log2n in [10, 12] {
+        for site in MEMORY_SITES {
+            let outcomes = sweep_scheme(Scheme::OnlineMemOpt, log2n, site, HIGH_BITS);
+            assert_repaired_or_typed(&format!("2^{log2n} {site:?}"), &outcomes);
+        }
+    }
+}
+
+/// The same sweep for the in-place plan's intermediate chunk checks.
+#[test]
+fn high_bit_strikes_on_in_place_chunks_are_repaired_or_typed() {
+    for log2n in [10, 12] {
+        assert_repaired_or_typed(&format!("2^{log2n}"), &sweep_in_place(log2n, HIGH_BITS));
+    }
+}
+
+/// Every bit 0–63 × Re/Im at every memory site of every scheme with a
+/// memory check, plus the computational-only schemes for the record
+/// (memory strikes are outside their fault model), at 2^10 and 2^12 —
+/// the outcome table EXPERIMENTS.md publishes. The memory-protected
+/// schemes must show zero SDC. Run with
+/// `cargo test --release --test memory_faults -- --include-ignored --nocapture`.
+#[test]
+#[ignore = "full 0-63 bit sweep; run in release"]
+fn memory_strike_full_bit_sweep() {
+    let schemes = [
+        Scheme::OnlineMem,
+        Scheme::OnlineMemOpt,
+        Scheme::OfflineMem,
+        Scheme::OnlineComp,
+        Scheme::OnlineCompOpt,
+    ];
+    let mut rows: Vec<(String, Vec<Outcome>)> = Vec::new();
+    for scheme in schemes {
+        for site in MEMORY_SITES {
+            let outcomes = [10, 12].into_iter().flat_map(|l| sweep_scheme(scheme, l, site, 0..64));
+            rows.push((format!("{scheme:?} {site:?}"), outcomes.collect()));
+        }
+    }
+    let in_place = [10, 12].into_iter().flat_map(|l| sweep_in_place(l, 0..64));
+    rows.push(("InPlace IntermediateMemory".into(), in_place.collect()));
+
+    println!(
+        "{:<34}{:>6}{:>11}{:>7}{:>7}{:>5}{:>10}",
+        "scheme site", "runs", "corrected", "typed", "below", "SDC", "unvisited"
+    );
+    for (name, outcomes) in &rows {
+        let counts = Outcome::ALL.map(|o| outcomes.iter().filter(|&&x| x == o).count());
+        println!(
+            "{:<34}{:>6}{:>11}{:>7}{:>7}{:>5}{:>10}",
+            name,
+            outcomes.len(),
+            counts[0],
+            counts[1],
+            counts[2],
+            counts[3],
+            counts[4]
+        );
+    }
 }

@@ -43,14 +43,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    // Pin the serial execution strategy for every plan this binary
-    // builds: the no-allocation contract covers the serial schedule,
-    // while the multi-worker parallel DIT spawns scoped threads per
-    // execute by design (a forced `FTFFT_STRATEGY=parallel` CI leg
-    // would otherwise route these plans through it). The parallel-DIT
-    // test below pins `Strategy::Parallel` in its own spec, and an
-    // explicit spec knob beats this forced tier.
-    force_strategy(Some(Strategy::Serial));
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -118,40 +110,6 @@ fn plain_fft_plan_execute_is_allocation_free() {
 }
 
 #[test]
-fn parallel_plan_single_worker_path_is_allocation_free() {
-    let _serial = serialized();
-    // The two-halves parallel DIT at `threads == 1` runs the inline
-    // (non-spawning) schedule entirely on the caller's scratch, so it
-    // must be allocation-free like any serial plan. Worker counts > 1
-    // spawn scoped threads per execute (which allocate stacks by design)
-    // and are deliberately outside this assertion.
-    let n = 1 << 12;
-    let plan = FftPlan::from_spec(
-        &FftSpec::new(n, Direction::Forward).with_strategy(Strategy::Parallel).with_threads(1),
-    );
-    let x = uniform_signal(n, 13);
-    let mut dst = vec![Complex64::ZERO; n];
-    let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-    plan.execute(&x, &mut dst, &mut scratch);
-    let count = alloc_count(|| {
-        for _ in 0..3 {
-            plan.execute(&x, &mut dst, &mut scratch);
-        }
-    });
-    assert_eq!(count, 0, "parallel DIT (threads=1): {count} allocations in hot path");
-
-    // In-place flavor shares the same inline path.
-    let mut data = x.clone();
-    plan.execute_inplace(&mut data, &mut scratch);
-    let count = alloc_count(|| {
-        for _ in 0..3 {
-            plan.execute_inplace(&mut data, &mut scratch);
-        }
-    });
-    assert_eq!(count, 0, "parallel DIT in-place (threads=1): {count} allocations");
-}
-
-#[test]
 fn soa_layout_plans_are_allocation_free() {
     let _serial = serialized();
     // Plain plans pinned to the split-complex engine: the deinterleave /
@@ -161,10 +119,7 @@ fn soa_layout_plans_are_allocation_free() {
     for kernel in Pow2Kernel::ALL {
         let n = 1 << 10;
         let plan = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_kernel(kernel)
-                .with_layout(DataLayout::Soa)
-                .with_strategy(Strategy::Serial),
+            &FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_layout(DataLayout::Soa),
         );
         assert_eq!(plan.supports_split(), kernel != Pow2Kernel::SplitRadix);
         let x = uniform_signal(n, 11);

@@ -5,9 +5,6 @@ use ftfft::checksum::{
     input_checksum_vector, mem_checksum, verify_and_correct, weighted_sum, MemVerdict,
 };
 use ftfft::fft::strided::gather;
-// `ftfft::prelude::Strategy` (the planner's execution strategy) collides
-// with proptest's `Strategy` trait under the two glob imports.
-use ftfft::fft::Strategy as FftStrategy;
 use ftfft::numeric::simd;
 use ftfft::prelude::*;
 use ftfft::stream::pipeline::report::SyncStats;
@@ -23,29 +20,15 @@ fn arb_signal(max_log2: u32) -> impl proptest::Strategy<Value = Vec<Complex64>> 
     })
 }
 
-/// A serial plan with the kernel pinned and the layout left to the
-/// env/heuristic tiers.
+/// A plan with the kernel pinned and the layout left to the env/heuristic
+/// tiers.
 fn kernel_plan(n: usize, kernel: Pow2Kernel) -> FftPlan {
-    FftPlan::from_spec(
-        &FftSpec::new(n, Direction::Forward).with_kernel(kernel).with_strategy(FftStrategy::Serial),
-    )
+    FftPlan::from_spec(&FftSpec::new(n, Direction::Forward).with_kernel(kernel))
 }
 
-/// A serial plan with the kernel and layout pinned.
+/// A plan with the kernel and layout pinned.
 fn pinned_plan(n: usize, dir: Direction, kernel: Pow2Kernel, layout: Layout) -> FftPlan {
-    FftPlan::from_spec(
-        &FftSpec::new(n, dir)
-            .with_kernel(kernel)
-            .with_layout(layout)
-            .with_strategy(FftStrategy::Serial),
-    )
-}
-
-/// The two-halves parallel DIT at an explicit worker count.
-fn parallel_plan(n: usize, dir: Direction, threads: usize) -> FftPlan {
-    FftPlan::from_spec(
-        &FftSpec::new(n, dir).with_strategy(FftStrategy::Parallel).with_threads(threads),
-    )
+    FftPlan::from_spec(&FftSpec::new(n, dir).with_kernel(kernel).with_layout(layout))
 }
 
 proptest! {
@@ -569,9 +552,6 @@ proptest! {
             .iter()
             .flat_map(|&k| Layout::ALL.map(|l| pinned_plan(n, dir, k, l)))
             .collect();
-        plans.push(FftPlan::from_spec(
-            &FftSpec::new(n, dir).with_strategy(FftStrategy::Parallel).with_threads(2),
-        ));
         plans.push(FftPlan::new(any_n, dir));
         let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
             v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
@@ -594,51 +574,6 @@ proptest! {
             prop_assert_eq!(bits(&got), bits(&want), "{}", what);
             prop_assert_eq!(bits(&seen), bits(&gathered), "{} visit order", what);
         }
-    }
-
-    /// The two-halves parallel DIT strategy is bitwise identical to the
-    /// serial plan: any worker count 1–8, forward and inverse, at both
-    /// SIMD dispatch levels, against the serial radix-2 kernel in both
-    /// layouts (which are themselves bitwise-identical), out-of-place and
-    /// in-place. The strategy changes only the schedule, never a single
-    /// arithmetic operation or its order.
-    #[test]
-    fn parallel_strategy_bitwise_equals_serial(
-        log2n in 12u32..=16,
-        threads in 1usize..=8,
-        forward in 0u8..2,
-        scalar in 0u8..2,
-    ) {
-        let n = 1usize << log2n;
-        let dir = if forward == 1 { Direction::Forward } else { Direction::Inverse };
-        let x = uniform_signal(n, log2n as u64 * 131 + threads as u64);
-        let level = if scalar == 1 || simd_level() != SimdLevel::Avx {
-            SimdLevel::Scalar
-        } else {
-            SimdLevel::Avx
-        };
-        ftfft::numeric::force_level(Some(level));
-        let run_serial = |layout: Layout| {
-            let plan = pinned_plan(n, dir, Pow2Kernel::Radix2, layout);
-            let mut dst = vec![Complex64::ZERO; n];
-            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute(&x, &mut dst, &mut scratch);
-            dst
-        };
-        let want_aos = run_serial(Layout::Aos);
-        let want_soa = run_serial(Layout::Soa);
-
-        let plan = parallel_plan(n, dir, threads);
-        let mut got = vec![Complex64::ZERO; n];
-        let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-        plan.execute(&x, &mut got, &mut scratch);
-        let mut inplace = x.clone();
-        plan.execute_inplace(&mut inplace, &mut scratch);
-        ftfft::numeric::force_level(None);
-
-        prop_assert_eq!(&got, &want_aos, "threads={} {:?} {:?}", threads, dir, level);
-        prop_assert_eq!(&got, &want_soa, "threads={} {:?} {:?}", threads, dir, level);
-        prop_assert_eq!(&inplace, &got, "in-place differs, threads={}", threads);
     }
 
     /// A scripted fault campaign behaves identically whichever execution
@@ -755,34 +690,6 @@ proptest! {
         let want = fft(&src);
         let err = ftfft::numeric::max_abs_diff(&out_soa, &want);
         prop_assert!(err < 1e-8 * n as f64, "err={err}");
-    }
-}
-
-/// Deterministic large-size spot check for the two-halves parallel DIT:
-/// the proptest above stops at 2^16 to keep debug-mode runtime sane, but
-/// the strategy targets *large* transforms — verify bitwise identity to
-/// the serial radix-2 plan at 2^20 (above `PARALLEL_MIN`), forward and
-/// inverse, at several worker counts.
-#[test]
-fn parallel_strategy_bitwise_equals_serial_at_2_20() {
-    let n = 1usize << 20;
-    let x = uniform_signal(n, 0xF17F);
-    for dir in [Direction::Forward, Direction::Inverse] {
-        let serial = pinned_plan(n, dir, Pow2Kernel::Radix2, Layout::Aos);
-        let mut want = vec![Complex64::ZERO; n];
-        let mut scratch = vec![Complex64::ZERO; serial.scratch_len()];
-        serial.execute(&x, &mut want, &mut scratch);
-        for threads in [2usize, 5, 8] {
-            let plan = parallel_plan(n, dir, threads);
-            assert!(
-                FftStrategy::Auto.picks_parallel(n, threads),
-                "2^20 with {threads} workers must be above the auto cutoff"
-            );
-            let mut got = vec![Complex64::ZERO; n];
-            let mut ps = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute(&x, &mut got, &mut ps);
-            assert_eq!(got, want, "threads={threads} {dir:?}");
-        }
     }
 }
 
