@@ -108,13 +108,15 @@ pub fn combined_decode_with(
 ) -> MemVerdict {
     let d1 = observed.sum1 - stored.sum1;
     let d2 = observed.sum2 - stored.sum2;
-    if d1.norm() <= tol {
-        if d2.norm() <= tol * n.max(1) as f64 {
+    if d1.norm_scaled() <= tol {
+        if d2.norm_scaled() <= tol * n.max(1) as f64 {
             return MemVerdict::Clean;
         }
         return MemVerdict::Unlocatable;
     }
-    let ratio = d2 / d1;
+    // Scaled: an exponent strike makes d1 ~1e154 or more, whose square
+    // would overflow.
+    let ratio = d2.div_scaled(d1);
     let idx = ratio.re.round();
     let frac_err = (ratio.re - idx).abs().max(ratio.im.abs());
     if !(1.0..=n as f64).contains(&idx) || frac_err > 0.25 {
@@ -126,7 +128,7 @@ pub fn combined_decode_with(
         // Degenerate rA slot (3 | n): the fault is visible but not sizable.
         return MemVerdict::Unlocatable;
     }
-    MemVerdict::Located { index: j, delta: d1 / w }
+    MemVerdict::Located { index: j, delta: d1.div_scaled(w) }
 }
 
 #[cfg(test)]

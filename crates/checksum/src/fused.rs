@@ -1,28 +1,25 @@
 //! Fused gather + checksum generation.
 //!
 //! §4.4 of the paper buffers each sub-FFT's strided input into contiguous
-//! scratch and computes the CCG on the buffer. Until this module, that was
-//! still *two* passes over the buffer (fill, then dot-product). The fused
-//! routines here compute the checksum **in the same pass that fills the
-//! gather buffer**, so each strided source element is read exactly once and
-//! the checksum arithmetic rides on data already in registers.
+//! scratch and computes the CCG on the buffer. These routines do both in
+//! one call: each strided source element is read once, and the checksum
+//! sums the freshly filled (cache-resident) buffer.
 //!
-//! **Bitwise contract**: the fused routines stream gathered blocks through
-//! the same two-lane SIMD accumulators ([`ftfft_numeric::simd::DotAcc`] /
-//! [`DotPairAcc`]) that the one-shot
-//! [`combined_sum1`](crate::combined_sum1) /
+//! **Bitwise contract**: the routines run the same two-lane SIMD
+//! accumulators ([`ftfft_numeric::simd::DotAcc`] / [`DotPairAcc`]) that the
+//! one-shot [`combined_sum1`](crate::combined_sum1) /
 //! [`combined_checksum`](crate::combined_checksum) use, so
 //! `gather_sum1(...)` equals `gather(...); combined_sum1(buf, ra)`
 //! bit-for-bit — at either SIMD dispatch level. The property suite asserts
 //! this exactly.
 
 use crate::combined::CombinedChecksum;
-use ftfft_fft::strided::gather_blocks;
+use ftfft_fft::strided::gather;
 use ftfft_numeric::simd::{DotAcc, DotPairAcc};
 use ftfft_numeric::Complex64;
 
 /// Fills `buf[..count]` with `src[offset + t·stride]` (`count = buf.len()`)
-/// and returns the CCG `Σ_t buf[t]·ra[t]` computed in the same pass.
+/// and returns the CCG `Σ_t buf[t]·ra[t]` summed over the filled buffer.
 ///
 /// Bitwise equal to a separate gather followed by
 /// [`combined_sum1`](crate::combined_sum1).
@@ -35,16 +32,14 @@ pub fn gather_sum1(
 ) -> Complex64 {
     debug_assert!(stride >= 1);
     debug_assert!(ra.len() >= buf.len());
+    gather(src, offset, stride, buf);
     let mut acc = DotAcc::new();
-    gather_blocks(src, offset, stride, buf.len(), |t, blk| {
-        acc.accumulate(blk, &ra[t..t + blk.len()]);
-        buf[t..t + blk.len()].copy_from_slice(blk);
-    });
+    acc.accumulate(buf, &ra[..buf.len()]);
     acc.finish()
 }
 
 /// Fills `buf[..count]` like [`gather_sum1`] and returns the full combined
-/// pair `(Σ buf·ra, Σ (t+1)·buf·ra)` from the same pass.
+/// pair `(Σ buf·ra, Σ (t+1)·buf·ra)`.
 ///
 /// Bitwise equal to a separate gather followed by
 /// [`combined_checksum`](crate::combined_checksum).
@@ -57,11 +52,9 @@ pub fn gather_combined(
 ) -> CombinedChecksum {
     debug_assert!(stride >= 1);
     debug_assert!(ra.len() >= buf.len());
+    gather(src, offset, stride, buf);
     let mut acc = DotPairAcc::new();
-    gather_blocks(src, offset, stride, buf.len(), |t, blk| {
-        acc.accumulate(blk, &ra[t..t + blk.len()]);
-        buf[t..t + blk.len()].copy_from_slice(blk);
-    });
+    acc.accumulate(buf, &ra[..buf.len()]);
     let (sum1, sum2) = acc.finish();
     CombinedChecksum { sum1, sum2 }
 }

@@ -73,17 +73,19 @@ pub fn mem_verify(x: &[Complex64], stored: MemChecksum, tol: f64) -> MemVerdict 
 pub fn decode(observed: MemChecksum, stored: MemChecksum, n: usize, tol: f64) -> MemVerdict {
     let d1 = observed.sum - stored.sum;
     let d2 = observed.wsum - stored.wsum;
-    if d1.norm() <= tol {
+    if d1.norm_scaled() <= tol {
         // The weighted sum carries weights up to n, so its round-off
         // allowance scales accordingly. A clean d1 with a large d2 means the
         // stored wsum word itself was corrupted (or two faults cancelled in
         // d1): detected but not locatable in the payload.
-        if d2.norm() <= tol * n.max(1) as f64 {
+        if d2.norm_scaled() <= tol * n.max(1) as f64 {
             return MemVerdict::Clean;
         }
         return MemVerdict::Unlocatable;
     }
-    let ratio = d2 / d1;
+    // Scaled: an exponent strike makes d1 ~1e154 or more, whose square
+    // would overflow.
+    let ratio = d2.div_scaled(d1);
     let idx = ratio.re.round();
     // The imaginary part and the fractional residue must both be small for a
     // confident single-fault decode.

@@ -207,7 +207,7 @@ pub(crate) fn run(
     let mut s = TwoLayerScratch {
         y: std::mem::take(&mut ws.y),
         buf: std::mem::take(&mut ws.buf),
-        fft: std::mem::take(&mut ws.fft),
+        block: std::mem::take(&mut ws.block),
     };
 
     // Fused first pass: fold each member's input into the side-1
@@ -347,7 +347,7 @@ pub(crate) fn run(
 fn restore(ws: &mut Workspace, s: TwoLayerScratch, bw: Box<BatchWorkspace>) {
     ws.y = s.y;
     ws.buf = s.buf;
-    ws.fft = s.fft;
+    ws.block = s.block;
     ws.batch = Some(bw);
 }
 

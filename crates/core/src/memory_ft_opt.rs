@@ -14,12 +14,12 @@
 //!   rearrangement needs no extra verify+regenerate pass;
 //! * **§4.4 contiguous buffering** — the initial CMCG is a single forward
 //!   scan of the input (k accumulators), and all per-sub-FFT checksums are
-//!   computed on the gathered buffer. Each sub-FFT reads its strided input
-//!   straight into the kernel's input order
-//!   ([`ftfft_fft::TwoLayerPlan::first_fft`]), the twiddle DMR streams one
-//!   row of the plan's twiddle matrix, and the part-2 CCV pass also yields
-//!   the column's share of the final output checksum pair
-//!   ([`ResidueSums`]).
+//!   computed on the contiguous column buffer. Each layer's sub-FFTs run
+//!   block by block as one batched pass
+//!   ([`ftfft_fft::TwoLayerPlan::first_block`]), with no gather; the
+//!   twiddle DMR streams one row of the plan's twiddle matrix, and the
+//!   part-2 CCV pass also yields the column's share of the final output
+//!   checksum pair ([`ResidueSums`]).
 //!
 //! This is the paper's headline "Opt-Online" configuration.
 
@@ -106,12 +106,25 @@ pub(crate) fn run(
     injector.inject(ctx, Site::InputMemory, x);
 
     // ---- part 1: postponed verification (§4.2) --------------------------
+    // The first-part FFTs run block by block as one batched pass; each
+    // column is then taken out of the block, struck and checked on its
+    // own, and a flagged column recomputes alone through the same kernel
+    // at width 1 (the bits the block gave it).
+    let bw = two.first_block_width();
     for n1 in 0..k {
+        let (c0, w) = (n1 - n1 % bw, bw.min(k - (n1 - n1 % bw)));
+        if n1 == c0 {
+            two.first_block(x, c0, w, &mut ws.block, |_, _| {});
+        }
         let mut attempts = 0u32;
         let mut mem_fixed = false;
         let mut saw_error = false;
         loop {
-            two.first_fft(x, n1, &mut ws.buf, &mut ws.fft);
+            if attempts == 0 {
+                two.first_block_column(&mut ws.block, w, n1 - c0, &mut ws.buf);
+            } else {
+                two.first_fft(x, n1, &mut ws.buf, &mut ws.fft);
+            }
             injector.inject(
                 ctx,
                 Site::SubFftCompute { part: Part::First, index: n1 },
@@ -199,14 +212,25 @@ pub(crate) fn run(
     // scattered; `g1` is checked once at the end (§4.2 postponed output
     // MCV). Reading the column *before* it reaches memory is what lets the
     // final CMCV catch output-memory corruption.
+    // The columns run batched like part 1; each verified column goes back
+    // into its block, and a finished block's rows are output rows.
     let mut g1 = Complex64::ZERO;
+    let bw = two.second_block_width();
     for j2 in 0..m {
+        let (c0, w) = (j2 - j2 % bw, bw.min(m - (j2 - j2 % bw)));
+        if j2 == c0 {
+            two.second_block(&ws.y, c0, w, &mut ws.block, |_, _| {});
+        }
         let stored = ws.slots.column_checksum(j2);
         let mut attempts = 0u32;
         let mut mem_fixed = false;
         let mut saw_error = false;
         let sums = loop {
-            two.second_fft(&ws.y, j2, &mut ws.buf, &mut ws.fft);
+            if attempts == 0 {
+                two.second_block_column(&mut ws.block, w, j2 - c0, &mut ws.buf);
+            } else {
+                two.second_fft(&ws.y, j2, &mut ws.buf, &mut ws.fft);
+            }
             injector.inject(
                 ctx,
                 Site::SubFftCompute { part: Part::Second, index: j2 },
@@ -267,7 +291,10 @@ pub(crate) fn run(
         let (p, q) = sums.rotated(m);
         g1 += omega3_pow(j2) * p;
         ws.out_pairs[j2] = CombinedChecksum { sum1: p, sum2: q + p };
-        two.scatter_output(out, j2, &ws.buf);
+        two.put_second_block_column(&mut ws.block, w, j2 - c0, &ws.buf);
+        if j2 + 1 == c0 + w {
+            two.store_second_block(&mut ws.block, c0, w, out);
+        }
     }
 
     injector.inject(ctx, Site::OutputMemory, out);

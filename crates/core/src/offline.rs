@@ -61,7 +61,7 @@ pub(crate) fn run(
     let mut scratch = TwoLayerScratch {
         y: std::mem::take(&mut ws.y),
         buf: std::mem::take(&mut ws.buf),
-        fft: std::mem::take(&mut ws.fft),
+        block: std::mem::take(&mut ws.block),
     };
 
     let mut attempts = 0u32;
@@ -107,7 +107,7 @@ pub(crate) fn run(
 
     ws.y = scratch.y;
     ws.buf = scratch.buf;
-    ws.fft = scratch.fft;
+    ws.block = scratch.block;
     rep
 }
 

@@ -12,13 +12,14 @@
 //!   strided source (a second cache-hostile pass) and the twiddle stage is
 //!   a separate column-wise DMR pass at the start of part 2 — the layout
 //!   the paper shows introduces "too much overhead" (§1);
-//! * **optimized** ("Opt-Online"): §4.4 buffered gathers (checksums are
-//!   computed on the contiguous gather buffer) and the twiddle DMR is fused
+//! * **optimized** ("Opt-Online"): §4.4 buffered access — each layer's
+//!   sub-FFTs run block by block as one batched pass whose checksums are
+//!   summed over contiguous input rows — and the twiddle DMR is fused
 //!   row-wise at the end of each first-part FFT.
 
 use ftfft_checksum::{ccv, combined_sum1, combined_sum1_strided};
 use ftfft_fault::{FaultInjector, InjectionCtx, Part, Site};
-use ftfft_numeric::simd::{self, DotAcc};
+use ftfft_numeric::simd;
 use ftfft_numeric::Complex64;
 
 use crate::dmr::{dmr_generate_ra_into, dmr_twiddle, dmr_twiddle_into};
@@ -27,10 +28,9 @@ use crate::report::FtReport;
 
 /// Executes one protected first-part (m-point) sub-FFT against the
 /// per-execution threshold `eta1` (see
-/// [`FtFftPlan::thresholds_for_energy`]): CCG over the gathered stride-`k`
-/// input (in the optimized variant fused with the gather: the sum folds
-/// each natural-order block while the gather stores it in the kernel's
-/// input order), the transform, the CCV retry loop, and — in the optimized
+/// [`FtFftPlan::thresholds_for_energy`]): CCG over the stride-`k` input
+/// (in the optimized variant over the gathered buffer, in one strided
+/// read), the transform, the CCV retry loop, and — in the optimized
 /// variant — the fused row-wise twiddle under DMR. The finished row is
 /// written to `row[..m]`.
 ///
@@ -38,7 +38,9 @@ use crate::report::FtReport;
 /// (`ftfft_parallel::PooledFtFft`) fans out across workers: it only reads
 /// `x`, and all of its sites (`SubFftCompute`/`TwiddleDmrPass`) are visited
 /// in a deterministic per-row order, so scripted faults at per-index sites
-/// strike identically however rows are scheduled.
+/// strike identically however rows are scheduled. Its transform is the
+/// width-1 column kernel, so a row has the same bits here as in the serial
+/// executor's batched pass.
 #[allow(clippy::too_many_arguments)]
 pub fn part1_row(
     plan: &FtFftPlan,
@@ -55,29 +57,71 @@ pub fn part1_row(
     ctx: InjectionCtx,
     rep: &mut FtReport,
 ) {
+    let cols = SubFft { ra: ra_m, eta: eta1, index: n1, optimized, batched: None };
+    part1_checked(plan, x, cols, row, buf, buf2, fft, injector, ctx, rep);
+}
+
+/// One protected sub-FFT's inputs: its checksum weights and threshold,
+/// its index, the variant, and — when a batched pass already transformed
+/// it — the CCG of its first attempt (its output is then in the buffer).
+#[derive(Clone, Copy)]
+struct SubFft<'a> {
+    ra: &'a [Complex64],
+    eta: f64,
+    index: usize,
+    optimized: bool,
+    batched: Option<Complex64>,
+}
+
+/// Per-lane CCG step of a batched block, `acc[c] += row[c]·w`, in the
+/// operation order of [`combined_sum1_strided`], so each lane sums exactly
+/// as the single-column path does.
+fn ccg_row(acc: &mut [Complex64], row: &[Complex64], w: Complex64) {
+    for (a, &v) in acc.iter_mut().zip(row) {
+        *a = a.mul_add(v, w);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn part1_checked(
+    plan: &FtFftPlan,
+    x: &[Complex64],
+    sub: SubFft<'_>,
+    row: &mut [Complex64],
+    buf: &mut [Complex64],
+    buf2: &mut [Complex64],
+    fft: &mut [Complex64],
+    injector: &dyn FaultInjector,
+    ctx: InjectionCtx,
+    rep: &mut FtReport,
+) {
     let two = plan.two();
-    let (k, m) = (two.k(), two.m());
+    let (k, m, n1) = (two.k(), two.m(), sub.index);
+    let mut batched = sub.batched;
     let mut attempts = 0u32;
     loop {
-        let cx = if optimized {
-            // One pass: gather into the kernel's input order, accumulate
-            // the CCG over the same blocks, transform.
-            let mut acc = DotAcc::new();
-            two.inner_plan().execute_gathered_with(x, n1, k, &mut buf[..m], fft, |t, blk| {
-                acc.accumulate(blk, &ra_m[t..t + blk.len()])
-            });
-            acc.finish()
-        } else {
-            // Unoptimized: checksum over the strided source, then a
-            // separate gather for the transform (two strided reads).
-            let cx = combined_sum1_strided(x, n1, k, ra_m);
-            two.gather_first(x, n1, buf);
-            two.inner_fft(buf, fft);
-            cx
+        let cx = match batched.take() {
+            Some(cx) => cx,
+            None if sub.optimized => {
+                // One strided read: gather, checksum the contiguous buffer,
+                // transform.
+                two.gather_first(x, n1, buf);
+                let cx = combined_sum1_strided(buf, 0, 1, sub.ra);
+                two.inner_fft(buf, fft);
+                cx
+            }
+            None => {
+                // Unoptimized: checksum over the strided source, then a
+                // separate gather for the transform (two strided reads).
+                let cx = combined_sum1_strided(x, n1, k, sub.ra);
+                two.gather_first(x, n1, buf);
+                two.inner_fft(buf, fft);
+                cx
+            }
         };
         injector.inject(ctx, Site::SubFftCompute { part: Part::First, index: n1 }, &mut buf[..m]);
         rep.checks += 1;
-        let o = ccv(&buf[..m], cx, eta1);
+        let o = ccv(&buf[..m], cx, sub.eta);
         if o.ok {
             rep.note_ok_residual_part1(o.residual);
             break;
@@ -90,7 +134,7 @@ pub fn part1_row(
             break;
         }
     }
-    if optimized {
+    if sub.optimized {
         // Fused row-wise twiddle under DMR.
         let w = two.twiddle_weights(n1);
         dmr_twiddle_into(&buf[..m], w, &mut row[..m], injector, ctx, rep, buf2);
@@ -119,29 +163,49 @@ pub fn part2_col(
     ctx: InjectionCtx,
     rep: &mut FtReport,
 ) {
+    let col = SubFft { ra: ra_k, eta: eta2, index: j2, optimized, batched: None };
+    part2_checked(plan, y, col, buf, buf2, fft, injector, ctx, rep);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn part2_checked(
+    plan: &FtFftPlan,
+    y: &[Complex64],
+    sub: SubFft<'_>,
+    buf: &mut [Complex64],
+    buf2: &mut [Complex64],
+    fft: &mut [Complex64],
+    injector: &dyn FaultInjector,
+    ctx: InjectionCtx,
+    rep: &mut FtReport,
+) {
     let two = plan.two();
-    let (k, m) = (two.k(), two.m());
+    let (k, j2) = (two.k(), sub.index);
+    let mut batched = sub.batched;
     let mut attempts = 0u32;
     loop {
-        let cx2 = if optimized {
-            let mut acc = DotAcc::new();
-            two.outer_plan().execute_gathered_with(y, j2, m, &mut buf[..k], fft, |t, blk| {
-                acc.accumulate(blk, &ra_k[t..t + blk.len()])
-            });
-            acc.finish()
-        } else {
-            two.gather_second(y, j2, buf);
-            // Algorithm 2 order: twiddle multiplication (DMR) applied to
-            // the column right before the second-part FFT.
-            let col = &mut buf[..k];
-            dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
-            let cx2 = combined_sum1(&buf[..k], ra_k);
-            two.outer_fft(buf, fft);
-            cx2
+        let cx2 = match batched.take() {
+            Some(cx2) => cx2,
+            None if sub.optimized => {
+                two.gather_second(y, j2, buf);
+                let cx2 = combined_sum1_strided(buf, 0, 1, sub.ra);
+                two.outer_fft(buf, fft);
+                cx2
+            }
+            None => {
+                two.gather_second(y, j2, buf);
+                // Algorithm 2 order: twiddle multiplication (DMR) applied to
+                // the column right before the second-part FFT.
+                let col = &mut buf[..k];
+                dmr_twiddle(col, |n1| two.twiddle_weight(n1, j2), injector, ctx, rep, buf2);
+                let cx2 = combined_sum1(&buf[..k], sub.ra);
+                two.outer_fft(buf, fft);
+                cx2
+            }
         };
         injector.inject(ctx, Site::SubFftCompute { part: Part::Second, index: j2 }, &mut buf[..k]);
         rep.checks += 1;
-        let o = ccv(&buf[..k], cx2, eta2);
+        let o = ccv(&buf[..k], cx2, sub.eta);
         if o.ok {
             rep.note_ok_residual_part2(o.residual);
             break;
@@ -203,15 +267,29 @@ pub(crate) fn run_comp(
     injector.inject(ctx, Site::InputMemory, x);
 
     // ---- part 1: k m-point FFTs ----------------------------------------
-    for (n1, row) in ws.y.chunks_exact_mut(m).take(k).enumerate() {
-        part1_row(
+    // Optimized: block by block through the batched column kernel, each
+    // column's CCG summed row by row while the block loads (the input is
+    // read once, contiguously); then every column is checked on its own.
+    let bw = if optimized { two.first_block_width() } else { 1 };
+    for n1 in 0..k {
+        let (c0, w) = (n1 - n1 % bw, bw.min(k - (n1 - n1 % bw)));
+        let mut sub =
+            SubFft { ra: &ws.ra_m[..m], eta: th.eta1, index: n1, optimized, batched: None };
+        if optimized {
+            if n1 == c0 {
+                let acc = &mut ws.ccg[..w];
+                acc.fill(Complex64::ZERO);
+                let ra_m = &ws.ra_m;
+                two.first_block(x, c0, w, &mut ws.block, |t, row| ccg_row(acc, row, ra_m[t]));
+            }
+            two.first_block_column(&mut ws.block, w, n1 - c0, &mut ws.buf);
+            sub.batched = Some(ws.ccg[n1 - c0]);
+        }
+        part1_checked(
             plan,
             x,
-            &ws.ra_m[..m],
-            th.eta1,
-            n1,
-            optimized,
-            row,
+            sub,
+            &mut ws.y[n1 * m..(n1 + 1) * m],
             &mut ws.buf,
             &mut ws.buf2,
             &mut ws.fft,
@@ -225,14 +303,27 @@ pub(crate) fn run_comp(
     injector.inject(ctx, Site::IntermediateMemory, &mut ws.y);
 
     // ---- part 2: m k-point FFTs ----------------------------------------
+    // Optimized: batched like part 1; each checked column goes back into
+    // its block, whose rows are then output rows.
+    let bw = if optimized { two.second_block_width() } else { 1 };
     for j2 in 0..m {
-        part2_col(
+        let (c0, w) = (j2 - j2 % bw, bw.min(m - (j2 - j2 % bw)));
+        let mut sub =
+            SubFft { ra: &ws.ra_k[..k], eta: th.eta2, index: j2, optimized, batched: None };
+        if optimized {
+            if j2 == c0 {
+                let acc = &mut ws.ccg[..w];
+                acc.fill(Complex64::ZERO);
+                let ra_k = &ws.ra_k;
+                two.second_block(&ws.y, c0, w, &mut ws.block, |t, row| ccg_row(acc, row, ra_k[t]));
+            }
+            two.second_block_column(&mut ws.block, w, j2 - c0, &mut ws.buf);
+            sub.batched = Some(ws.ccg[j2 - c0]);
+        }
+        part2_checked(
             plan,
             &ws.y,
-            &ws.ra_k[..k],
-            th.eta2,
-            j2,
-            optimized,
+            sub,
             &mut ws.buf,
             &mut ws.buf2,
             &mut ws.fft,
@@ -240,7 +331,14 @@ pub(crate) fn run_comp(
             ctx,
             &mut rep,
         );
-        two.scatter_output(out, j2, &ws.buf);
+        if optimized {
+            two.put_second_block_column(&mut ws.block, w, j2 - c0, &ws.buf);
+            if j2 + 1 == c0 + w {
+                two.store_second_block(&mut ws.block, c0, w, out);
+            }
+        } else {
+            two.scatter_output(out, j2, &ws.buf);
+        }
     }
 
     // Memory window on the final output (undetectable without the memory

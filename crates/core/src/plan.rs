@@ -54,8 +54,11 @@ pub struct Workspace {
     pub buf: Vec<Complex64>,
     /// Secondary buffer (DMR passes / backups), `max(k, m)` long.
     pub buf2: Vec<Complex64>,
-    /// Sub-plan FFT scratch.
+    /// Single-column sub-FFT scratch ([`TwoLayerPlan::scratch_len`]).
     pub fft: Vec<Complex64>,
+    /// Block buffer of the batched sub-FFT passes
+    /// ([`TwoLayerPlan::block_len`]).
+    pub block: Vec<Complex64>,
     /// Per-first-part-FFT input checksum pairs (combined weights).
     pub in_ck: Vec<CombinedChecksum>,
     /// Per-first-part-FFT input classic memory checksums (Fig 2 hierarchy).
@@ -79,6 +82,9 @@ pub struct Workspace {
     pub ra_full: Vec<Complex64>,
     /// Second DMR pass scratch for `rA` generation.
     pub ra_tmp: Vec<Complex64>,
+    /// Per-column CCG accumulators of one batched block (`max(k, m)`
+    /// long).
+    pub ccg: Vec<Complex64>,
     /// CMCG `sum1` accumulators, one per first-part FFT (`k` long).
     pub ck1: Vec<Complex64>,
     /// CMCG `sum2` accumulators (`k` long).
@@ -206,10 +212,8 @@ impl FtFftPlan {
             y: vec![Complex64::ZERO; self.n],
             buf: vec![Complex64::ZERO; lane],
             buf2: vec![Complex64::ZERO; lane],
-            fft: vec![
-                Complex64::ZERO;
-                self.two.inner_plan().scratch_len().max(self.two.outer_plan().scratch_len())
-            ],
+            fft: vec![Complex64::ZERO; self.two.scratch_len()],
+            block: vec![Complex64::ZERO; self.two.block_len()],
             in_ck: vec![CombinedChecksum::default(); k],
             in_mck: vec![MemChecksum { sum: Complex64::ZERO, wsum: Complex64::ZERO }; k],
             row_ck: vec![MemChecksum { sum: Complex64::ZERO, wsum: Complex64::ZERO }; k],
@@ -221,6 +225,7 @@ impl FtFftPlan {
             ra_k: vec![Complex64::ZERO; k],
             ra_full: vec![Complex64::ZERO; if offline { self.n } else { 0 }],
             ra_tmp: vec![Complex64::ZERO; if offline { self.n } else { lane }],
+            ccg: vec![Complex64::ZERO; lane],
             ck1: vec![Complex64::ZERO; k],
             ck2: vec![Complex64::ZERO; k],
             group_out: vec![Complex64::ZERO; group],
@@ -249,12 +254,12 @@ impl FtFftPlan {
                 let mut s = TwoLayerScratch {
                     y: std::mem::take(&mut ws.y),
                     buf: std::mem::take(&mut ws.buf),
-                    fft: std::mem::take(&mut ws.fft),
+                    block: std::mem::take(&mut ws.block),
                 };
                 self.two.execute(x, out, &mut s);
                 ws.y = s.y;
                 ws.buf = s.buf;
-                ws.fft = s.fft;
+                ws.block = s.block;
                 FtReport::new()
             }
             Scheme::OfflineNaive => offline::run(self, x, out, injector, ws, true, false),

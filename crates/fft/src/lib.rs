@@ -31,6 +31,7 @@
 
 pub mod bitrev;
 pub mod bluestein;
+mod column;
 pub mod direction;
 pub mod factor;
 pub mod mixed;

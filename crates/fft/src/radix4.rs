@@ -38,14 +38,6 @@ pub fn fft_radix4_strided_table(data: &mut [Complex64], table: &TwiddleTable, ta
         return;
     }
     bit_reverse_permute(data);
-    radix4_stages(data, table, table_stride);
-}
-
-/// The stages of [`fft_radix4_strided_table`] over input that is already in
-/// bit-reversed order (the gathered entry
-/// [`crate::FftPlan::execute_gathered`] stores it that way).
-pub(crate) fn radix4_stages(data: &mut [Complex64], table: &TwiddleTable, table_stride: usize) {
-    let n = data.len();
     // `rot = s·i` rotates by a quarter turn in the transform direction
     // (−i forward, +i inverse): the twiddle `ω_len^{j+len/4}` = `ω_len^j·rot`.
     let s = table.direction().sign();

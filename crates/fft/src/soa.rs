@@ -98,8 +98,9 @@ pub fn fft_radix2_soa(
     }
 }
 
-/// Runs the radix-4 stage schedule in place over bit-reversed planes.
-fn radix4_stages(re: &mut [f64], im: &mut [f64], tw: &SoaRadix4Twiddles) {
+/// Runs the radix-4 stage schedule in place over bit-reversed planes
+/// (also the width-1 case of the column kernel, [`crate::column`]).
+pub(crate) fn radix4_stages(re: &mut [f64], im: &mut [f64], tw: &SoaRadix4Twiddles) {
     let l = tw.len();
     if l == 1 {
         return;

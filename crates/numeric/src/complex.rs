@@ -62,6 +62,31 @@ impl Complex64 {
         self.norm_sqr().sqrt()
     }
 
+    /// Modulus `|z|` without squaring (`hypot`): finite for every finite
+    /// `z`, where [`norm`](Self::norm) overflows once a part passes ~1e154.
+    /// Slower; for fault-path decodes that must size huge corruptions.
+    #[inline]
+    pub fn norm_scaled(self) -> f64 {
+        self.re.hypot(self.im)
+    }
+
+    /// `self / rhs` by Smith's scaled division: divides by the larger part
+    /// of `rhs` first, so no intermediate squares `rhs` and the quotient
+    /// stays finite whenever it is representable (plain `/` overflows once
+    /// `|rhs|²` does).
+    #[inline]
+    pub fn div_scaled(self, rhs: Complex64) -> Complex64 {
+        if rhs.re.abs() >= rhs.im.abs() {
+            let r = rhs.im / rhs.re;
+            let d = rhs.re + rhs.im * r;
+            c64((self.re + self.im * r) / d, (self.im - self.re * r) / d)
+        } else {
+            let r = rhs.re / rhs.im;
+            let d = rhs.re * r + rhs.im;
+            c64((self.re * r + self.im) / d, (self.im * r - self.re) / d)
+        }
+    }
+
     /// Argument (phase angle) in radians.
     #[inline]
     pub fn arg(self) -> f64 {

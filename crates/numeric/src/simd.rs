@@ -261,6 +261,54 @@ mod scalar {
         }
     }
 
+    /// Split-complex radix-4 butterfly over four rows with one broadcast
+    /// twiddle triple `tw = [w1ᵣ, w1ᵢ, w2ᵣ, w2ᵢ, w3ᵣ, w3ᵢ]` — per lane the
+    /// arithmetic of [`bf4_soa`].
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn bf4_rows(
+        s: f64,
+        a_re: &mut [f64],
+        a_im: &mut [f64],
+        b_re: &mut [f64],
+        b_im: &mut [f64],
+        c_re: &mut [f64],
+        c_im: &mut [f64],
+        d_re: &mut [f64],
+        d_im: &mut [f64],
+        tw: [f64; 6],
+    ) {
+        let [w1r, w1i, w2r, w2i, w3r, w3i] = tw;
+        for j in 0..a_re.len() {
+            let ar = a_re[j];
+            let ai = a_im[j];
+            let br = b_re[j] * w2r - b_im[j] * w2i;
+            let bi = b_re[j] * w2i + b_im[j] * w2r;
+            let cr = c_re[j] * w1r - c_im[j] * w1i;
+            let ci = c_re[j] * w1i + c_im[j] * w1r;
+            let dr = d_re[j] * w3r - d_im[j] * w3i;
+            let di = d_re[j] * w3i + d_im[j] * w3r;
+            let t0r = ar + br;
+            let t0i = ai + bi;
+            let t1r = ar - br;
+            let t1i = ai - bi;
+            let t2r = cr + dr;
+            let t2i = ci + di;
+            let t3r = cr - dr;
+            let t3i = ci - di;
+            let rtr = -s * t3i;
+            let rti = s * t3r;
+            a_re[j] = t0r + t2r;
+            a_im[j] = t0i + t2i;
+            c_re[j] = t0r - t2r;
+            c_im[j] = t0i - t2i;
+            b_re[j] = t1r + rtr;
+            b_im[j] = t1i + rti;
+            d_re[j] = t1r - rtr;
+            d_im[j] = t1i - rti;
+        }
+    }
+
     /// Two-lane accumulation step shared by `dot` and `DotAcc`: folds an
     /// *even-length* prefix, then at most one tail element into lane 0.
     #[inline]
@@ -763,6 +811,85 @@ mod avx {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx,fma")]
+    pub unsafe fn bf4_rows(
+        s: f64,
+        a_re: &mut [f64],
+        a_im: &mut [f64],
+        b_re: &mut [f64],
+        b_im: &mut [f64],
+        c_re: &mut [f64],
+        c_im: &mut [f64],
+        d_re: &mut [f64],
+        d_im: &mut [f64],
+        tw: [f64; 6],
+    ) {
+        let n = a_re.len();
+        let quads = n / 4;
+        let sneg = _mm256_set1_pd(-s);
+        let spos = _mm256_set1_pd(s);
+        let (w1r, w1i) = (_mm256_set1_pd(tw[0]), _mm256_set1_pd(tw[1]));
+        let (w2r, w2i) = (_mm256_set1_pd(tw[2]), _mm256_set1_pd(tw[3]));
+        let (w3r, w3i) = (_mm256_set1_pd(tw[4]), _mm256_set1_pd(tw[5]));
+        for q in 0..quads {
+            let o = 4 * q;
+            let ar = _mm256_loadu_pd(a_re.as_ptr().add(o));
+            let ai = _mm256_loadu_pd(a_im.as_ptr().add(o));
+            let (br, bi) = cmul_soa(
+                _mm256_loadu_pd(b_re.as_ptr().add(o)),
+                _mm256_loadu_pd(b_im.as_ptr().add(o)),
+                w2r,
+                w2i,
+            );
+            let (cr, ci) = cmul_soa(
+                _mm256_loadu_pd(c_re.as_ptr().add(o)),
+                _mm256_loadu_pd(c_im.as_ptr().add(o)),
+                w1r,
+                w1i,
+            );
+            let (dr, di) = cmul_soa(
+                _mm256_loadu_pd(d_re.as_ptr().add(o)),
+                _mm256_loadu_pd(d_im.as_ptr().add(o)),
+                w3r,
+                w3i,
+            );
+            let t0r = _mm256_add_pd(ar, br);
+            let t0i = _mm256_add_pd(ai, bi);
+            let t1r = _mm256_sub_pd(ar, br);
+            let t1i = _mm256_sub_pd(ai, bi);
+            let t2r = _mm256_add_pd(cr, dr);
+            let t2i = _mm256_add_pd(ci, di);
+            let t3r = _mm256_sub_pd(cr, dr);
+            let t3i = _mm256_sub_pd(ci, di);
+            let rtr = _mm256_mul_pd(sneg, t3i);
+            let rti = _mm256_mul_pd(spos, t3r);
+            _mm256_storeu_pd(a_re.as_mut_ptr().add(o), _mm256_add_pd(t0r, t2r));
+            _mm256_storeu_pd(a_im.as_mut_ptr().add(o), _mm256_add_pd(t0i, t2i));
+            _mm256_storeu_pd(c_re.as_mut_ptr().add(o), _mm256_sub_pd(t0r, t2r));
+            _mm256_storeu_pd(c_im.as_mut_ptr().add(o), _mm256_sub_pd(t0i, t2i));
+            _mm256_storeu_pd(b_re.as_mut_ptr().add(o), _mm256_add_pd(t1r, rtr));
+            _mm256_storeu_pd(b_im.as_mut_ptr().add(o), _mm256_add_pd(t1i, rti));
+            _mm256_storeu_pd(d_re.as_mut_ptr().add(o), _mm256_sub_pd(t1r, rtr));
+            _mm256_storeu_pd(d_im.as_mut_ptr().add(o), _mm256_sub_pd(t1i, rti));
+        }
+        if quads * 4 < n {
+            let t = quads * 4;
+            super::scalar::bf4_rows(
+                s,
+                &mut a_re[t..],
+                &mut a_im[t..],
+                &mut b_re[t..],
+                &mut b_im[t..],
+                &mut c_re[t..],
+                &mut c_im[t..],
+                &mut d_re[t..],
+                &mut d_im[t..],
+                tw,
+            );
+        }
+    }
+
     /// Plain multiply then add (no FMA), so every lane matches the scalar
     /// `acc += v * v` bit for bit.
     #[target_feature(enable = "avx,fma")]
@@ -1019,6 +1146,43 @@ pub fn butterfly4_soa(
         &w1_re[..n], &w1_im[..n], &w2_re[..n], &w2_im[..n], &w3_re[..n], &w3_im[..n];
         bf4_soa
     )
+}
+
+/// Radix-4 butterfly over four plane rows with one broadcast twiddle per
+/// row — the row butterfly of the column-batched two-layer kernel, where
+/// every lane is a different sub-FFT at the same butterfly. `tw` is
+/// `[w1ᵣ, w1ᵢ, w2ᵣ, w2ᵢ, w3ᵣ, w3ᵢ]`; `b` is multiplied by `w2`, `c` by
+/// `w1` and `d` by `w3`, exactly as in [`butterfly4_soa`], so each lane
+/// runs the AoS radix-4 arithmetic on its own column. Rows narrower than
+/// one vector run the scalar code directly (the same bits either way).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn butterfly4_rows(
+    s: f64,
+    a_re: &mut [f64],
+    a_im: &mut [f64],
+    b_re: &mut [f64],
+    b_im: &mut [f64],
+    c_re: &mut [f64],
+    c_im: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    tw: [f64; 6],
+) {
+    let n = a_re.len();
+    assert!(
+        a_im.len() == n
+            && b_re.len() == n
+            && b_im.len() == n
+            && c_re.len() == n
+            && c_im.len() == n
+            && d_re.len() == n
+            && d_im.len() == n
+    );
+    if n < 4 {
+        return scalar::bf4_rows(s, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, tw);
+    }
+    dispatch!(s, a_re, a_im, b_re, b_im, c_re, c_im, d_re, d_im, tw; bf4_rows)
 }
 
 /// The ω₃-weighted CCV sum `Σ_j w^j·x_j` for a period-3 weight (`w1 = w¹`,
@@ -1457,6 +1621,39 @@ mod tests {
                 let t1 = a - b;
                 let t2 = c + d;
                 let t3 = c - d;
+                let t3 = c64(-s * t3.im, s * t3.re);
+                let want = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
+                for (seg, w) in got.iter().zip(want) {
+                    assert_eq!((seg.0[j], seg.1[j]), (w.re, w.im), "n={n} j={j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn butterfly4_rows_matches_aos_radix4_body_bitwise() {
+        for (n, s) in [(1usize, 1.0f64), (3, -1.0), (4, 1.0), (9, -1.0), (32, 1.0)] {
+            let segs: Vec<Vec<Complex64>> = (0..4).map(|i| sig(n, 200 + i)).collect();
+            let w = sig(3, 210);
+            let tw = [w[0].re, w[0].im, w[1].re, w[1].im, w[2].re, w[2].im];
+            let got = for_each_level(|| {
+                let (mut a_re, mut a_im) = planes_of(&segs[0]);
+                let (mut b_re, mut b_im) = planes_of(&segs[1]);
+                let (mut c_re, mut c_im) = planes_of(&segs[2]);
+                let (mut d_re, mut d_im) = planes_of(&segs[3]);
+                butterfly4_rows(
+                    s, &mut a_re, &mut a_im, &mut b_re, &mut b_im, &mut c_re, &mut c_im, &mut d_re,
+                    &mut d_im, tw,
+                );
+                vec![(a_re, a_im), (b_re, b_im), (c_re, c_im), (d_re, d_im)]
+            });
+            for j in 0..n {
+                let a = segs[0][j];
+                let b = segs[1][j] * w[1];
+                let c = segs[2][j] * w[0];
+                let d = segs[3][j] * w[2];
+                let (t0, t1, t2, t3) = (a + b, a - b, c + d, c - d);
                 let t3 = c64(-s * t3.im, s * t3.re);
                 let want = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
                 for (seg, w) in got.iter().zip(want) {

@@ -61,7 +61,7 @@ pub struct LaneScratch {
     pub buf: Vec<Complex64>,
     /// DMR scratch (`max(k, m)` long).
     pub buf2: Vec<Complex64>,
-    /// Sub-plan FFT scratch.
+    /// Single-column sub-FFT scratch ([`ftfft_fft::TwoLayerPlan::scratch_len`]).
     pub fft: Vec<Complex64>,
 }
 
@@ -109,7 +109,7 @@ impl PooledFtFft {
     pub fn make_workspace(&self) -> PooledWorkspace {
         let two = self.plan.two();
         let lane = two.k().max(two.m());
-        let fft_len = two.inner_plan().scratch_len().max(two.outer_plan().scratch_len());
+        let fft_len = two.scratch_len();
         PooledWorkspace {
             main: self.plan.make_workspace(),
             lanes: (0..self.pool.size())

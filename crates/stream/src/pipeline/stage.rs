@@ -15,9 +15,6 @@ use ftfft_fault::{FaultInjector, NoFaults};
 use ftfft_fft::Direction;
 use ftfft_numeric::{simd, Complex64};
 
-use crate::stft::{StftPlan, StftWorkspace};
-use crate::window::Window;
-
 /// One protected transform stage of the pipeline.
 pub trait FrameTransform: Send {
     /// Fresh samples consumed per frame.
@@ -39,12 +36,16 @@ pub trait FrameTransform: Send {
     fn apply(&mut self, input: &[f64], out: &mut [f64], injector: &dyn FaultInjector) -> FtReport;
 }
 
-/// Spectral-gate denoiser: protected STFT → zero sub-threshold bins →
-/// protected inverse. Uses a rectangular window at `hop = n`, so frames
-/// are independent (no history) and the round trip is exact.
+/// Spectral-gate denoiser: protected forward transform → zero
+/// sub-threshold bins → protected inverse. Frames are independent (no
+/// history) and the round trip is exact — the rectangular-window STFT at
+/// `hop = n`, run straight on the real plans: that STFT's overlap-add
+/// would only divide every sample by a window stack of exactly 1.0.
 pub struct StftDenoiseStage {
-    plan: StftPlan,
-    ws: StftWorkspace,
+    fwd: RealFtFftPlan,
+    inv: RealFtFftPlan,
+    ws_f: RealWorkspace,
+    ws_i: RealWorkspace,
     spec: Vec<Complex64>,
     gate: f64,
 }
@@ -53,27 +54,36 @@ impl StftDenoiseStage {
     /// Builds the stage for `spec.n()`-sample frames; bins with magnitude
     /// `< gate` are zeroed (gate `0.0` keeps every bin — a pure protected
     /// round trip).
+    ///
+    /// # Panics
+    /// Panics unless `spec.n()` is even and at least 4.
     pub fn new(spec: &PlanSpec, gate: f64) -> Self {
-        let plan = StftPlan::from_spec(spec, spec.n(), Window::Rect);
-        let ws = plan.make_workspace();
-        let bins = plan.bins();
-        StftDenoiseStage { plan, ws, spec: vec![Complex64::ZERO; bins], gate }
+        let n = spec.n();
+        assert!(n >= 4 && n.is_multiple_of(2), "frame size must be even and >= 4, got {n}");
+        let fwd = RealFtFftPlan::from_spec(&spec.with_direction(Direction::Forward));
+        let inv = RealFtFftPlan::from_spec(&spec.with_direction(Direction::Inverse));
+        StftDenoiseStage {
+            spec: vec![Complex64::ZERO; fwd.spectrum_len()],
+            ws_f: fwd.make_workspace(),
+            ws_i: inv.make_workspace(),
+            fwd,
+            inv,
+            gate,
+        }
     }
 }
 
 impl FrameTransform for StftDenoiseStage {
     fn frame_len(&self) -> usize {
-        self.plan.fft_size()
+        self.fwd.n()
     }
 
     fn output_len(&self) -> usize {
-        self.plan.fft_size()
+        self.fwd.n()
     }
 
     fn apply(&mut self, input: &[f64], out: &mut [f64], injector: &dyn FaultInjector) -> FtReport {
-        let mut ft = FtReport::new();
-        let rep = self.plan.analyze_into(input, &mut self.spec, injector, &mut self.ws);
-        ft.merge(&rep.ft);
+        let mut ft = self.fwd.forward(input, &mut self.spec, injector, &mut self.ws_f);
         if self.gate > 0.0 {
             let gate2 = self.gate * self.gate;
             for z in self.spec.iter_mut() {
@@ -82,8 +92,7 @@ impl FrameTransform for StftDenoiseStage {
                 }
             }
         }
-        let rep = self.plan.synthesize_into(&self.spec, out, injector, &mut self.ws);
-        ft.merge(&rep.ft);
+        ft.merge(&self.inv.inverse(&self.spec, out, injector, &mut self.ws_i));
         ft
     }
 }
@@ -193,6 +202,40 @@ mod tests {
         assert!(ft.is_clean());
         for (a, b) in out.iter().zip(&x) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn denoise_equals_the_rect_stft_round_trip_bitwise() {
+        use crate::stft::StftPlan;
+        use crate::window::Window;
+        for (seed, gate, scheme) in [
+            (1u64, 0.0, Scheme::OnlineMemOpt),
+            (2, 0.05, Scheme::OnlineMemOpt),
+            (3, 0.02, Scheme::OnlineCompOpt),
+        ] {
+            let s = spec(256, scheme);
+            let mut stage = StftDenoiseStage::new(&s, gate);
+            let x = real_signal(256, seed);
+            let mut got = vec![0.0; 256];
+            assert!(stage.apply(&x, &mut got, &NoFaults).is_clean());
+
+            let stft = StftPlan::from_spec(&s, 256, Window::Rect);
+            let mut ws = stft.make_workspace();
+            let mut spec = vec![Complex64::ZERO; stft.bins()];
+            stft.analyze_into(&x, &mut spec, &NoFaults, &mut ws);
+            for z in spec.iter_mut() {
+                if z.norm_sqr() < gate * gate {
+                    *z = Complex64::ZERO;
+                }
+            }
+            let mut want = vec![0.0; 256];
+            stft.synthesize_into(&spec, &mut want, &NoFaults, &mut ws);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "seed {seed} gate {gate}"
+            );
         }
     }
 

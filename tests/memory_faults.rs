@@ -399,6 +399,21 @@ fn high_bit_strikes_on_opt_online_mem_are_repaired_or_typed() {
     }
 }
 
+/// At the output sites every exponent and sign strike ends repaired, none
+/// typed: the decode sizes a ~1e154–1e308 corruption with a scaled norm
+/// and division, where squaring it overflowed.
+#[test]
+fn high_bit_output_strikes_are_repaired_not_typed() {
+    for scheme in [Scheme::OnlineMem, Scheme::OnlineMemOpt] {
+        for log2n in [10, 12] {
+            let outcomes = sweep_scheme(scheme, log2n, Site::OutputMemory, HIGH_BITS);
+            for o in outcomes {
+                assert_eq!(o, Outcome::Corrected, "{scheme:?} 2^{log2n}");
+            }
+        }
+    }
+}
+
 /// The same sweep for the in-place plan's intermediate chunk checks.
 #[test]
 fn high_bit_strikes_on_in_place_chunks_are_repaired_or_typed() {

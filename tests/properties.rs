@@ -5,6 +5,8 @@ use ftfft::checksum::{
     input_checksum_vector, mem_checksum, verify_and_correct, weighted_sum, MemVerdict,
 };
 use ftfft::fft::strided::gather;
+use ftfft::fft::TwoLayerPlan;
+use ftfft::numeric::max_abs_diff;
 use ftfft::numeric::simd;
 use ftfft::prelude::*;
 use ftfft::stream::pipeline::report::SyncStats;
@@ -531,51 +533,6 @@ proptest! {
         }
     }
 
-    /// The gathered entry is bitwise equal to gathering the decimation
-    /// `src[offset + t·stride]` and running `execute_inplace`: every
-    /// power-of-two kernel × layout, the parallel DIT, and the planner's
-    /// pick at an arbitrary size (mixed-radix or Bluestein off the powers
-    /// of two), sizes 1–2^12, both directions, random offsets and strides.
-    /// The visitor sees the decimation in natural order.
-    #[test]
-    fn gathered_entry_bitwise_equals_gather_then_execute(
-        log2n in 0u32..=12,
-        any_n in 1usize..=4096,
-        offset in 0usize..9,
-        stride in 1usize..7,
-        seed in 0u64..512,
-        forward in 0u8..2,
-    ) {
-        let dir = if forward == 1 { Direction::Forward } else { Direction::Inverse };
-        let n = 1usize << log2n;
-        let mut plans: Vec<FftPlan> = Pow2Kernel::ALL
-            .iter()
-            .flat_map(|&k| Layout::ALL.map(|l| pinned_plan(n, dir, k, l)))
-            .collect();
-        plans.push(FftPlan::new(any_n, dir));
-        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
-        for plan in &plans {
-            let len = plan.len();
-            let src = uniform_signal(offset + (len - 1) * stride + 1, seed);
-            let mut gathered = vec![Complex64::ZERO; len];
-            gather(&src, offset, stride, &mut gathered);
-            let mut want = gathered.clone();
-            let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
-            plan.execute_inplace(&mut want, &mut scratch);
-            let mut got = vec![Complex64::ZERO; len];
-            let mut seen = Vec::with_capacity(len);
-            plan.execute_gathered_with(&src, offset, stride, &mut got, &mut scratch, |t0, blk| {
-                assert_eq!(t0, seen.len());
-                seen.extend_from_slice(blk);
-            });
-            let what = format!("{} {} n={len}", plan.kernel_name(), plan.layout_name());
-            prop_assert_eq!(bits(&got), bits(&want), "{}", what);
-            prop_assert_eq!(bits(&seen), bits(&gathered), "{} visit order", what);
-        }
-    }
-
     /// A scripted fault campaign behaves identically whichever execution
     /// strategy runs it: the serial executor and the pooled executor at
     /// any worker count 1–8 must produce the same outputs bitwise and the
@@ -758,5 +715,120 @@ proptest! {
             pending,
             frame_bytes
         );
+    }
+}
+
+/// One bin of the DFT of `x`, summed directly (`O(n)`) — the `dft_naive`
+/// oracle for transforms too large to evaluate in full.
+fn naive_bin(x: &[Complex64], j: usize, dir: Direction) -> Complex64 {
+    let n = x.len();
+    let sign = if dir == Direction::Forward { -1.0 } else { 1.0 };
+    let mut acc = Complex64::ZERO;
+    for (t, &v) in x.iter().enumerate() {
+        let ang = sign * 2.0 * std::f64::consts::PI * ((t * j) % n) as f64 / n as f64;
+        acc += v * Complex64::new(ang.cos(), ang.sin());
+    }
+    acc
+}
+
+/// The column-batched two-layer kernel at every power-of-two split from
+/// 2^2 to 2^16, both directions: every block width (1, 3 and the plan's
+/// own) gives each sub-FFT column exactly the bits of the single-column
+/// primitive, in both parts, and the whole transform and its columns
+/// match the direct DFT within 1e-9·n (every bin up to 2^10, 16 sampled
+/// bins above).
+#[test]
+fn column_batched_two_layer_equals_width_one_and_naive() {
+    let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    let planner = Planner::new();
+    for log2n in 2..=16u32 {
+        let n = 1usize << log2n;
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let x = uniform_signal(n, 7 + log2n as u64);
+            let bins: Vec<usize> = if n <= 1 << 10 {
+                (0..n).collect()
+            } else {
+                (0..16).map(|i| (i * 40_503) % n).collect()
+            };
+            let want: Vec<Complex64> = if n <= 1 << 10 {
+                dft_naive(&x, dir)
+            } else {
+                bins.iter().map(|&j| naive_bin(&x, j, dir)).collect()
+            };
+            // Every split k = 2^a; above 2^12 the balanced half of them,
+            // which still covers odd and even log₂ of both sub-sizes.
+            let splits: Vec<u32> = if log2n <= 12 {
+                (0..=log2n).collect()
+            } else {
+                (log2n / 2 - 2..=log2n / 2 + 2).collect()
+            };
+            for a in splits {
+                let two = TwoLayerPlan::with_split(&planner, n, 1 << a, dir);
+                let (k, m) = (two.k(), two.m());
+                let what = format!("n=2^{log2n} k={k} {dir:?}");
+                let mut s = two.make_scratch();
+                let mut out = vec![Complex64::ZERO; n];
+                two.execute(&x, &mut out, &mut s);
+                let tol = 1e-9 * n as f64;
+                for (&j, w) in bins.iter().zip(&want) {
+                    assert!(out[j].approx_eq(*w, tol), "{what} bin {j}");
+                }
+
+                let mut block = vec![Complex64::ZERO; two.block_len()];
+                let mut fft = vec![Complex64::ZERO; two.scratch_len()];
+                let mut one = vec![Complex64::ZERO; k.max(m)];
+                let mut col = vec![Complex64::ZERO; k.max(m)];
+                for w in [1, 3, two.first_block_width()] {
+                    let w = w.min(two.first_block_width());
+                    for c0 in (0..k).step_by(w) {
+                        let w = w.min(k - c0);
+                        two.first_block(&x, c0, w, &mut block, |_, _| {});
+                        for c in 0..w {
+                            two.first_block_column(&mut block, w, c, &mut col);
+                            two.first_fft(&x, c0 + c, &mut one, &mut fft);
+                            assert_eq!(
+                                bits(&col[..m]),
+                                bits(&one[..m]),
+                                "{what} part 1 w={w} col {}",
+                                c0 + c
+                            );
+                        }
+                    }
+                }
+                // Part 2 over an arbitrary k × m matrix.
+                let y = uniform_signal(n, 99 + a as u64);
+                for w in [1, 3, two.second_block_width()] {
+                    let w = w.min(two.second_block_width());
+                    for c0 in (0..m).step_by(w) {
+                        let w = w.min(m - c0);
+                        two.second_block(&y, c0, w, &mut block, |_, _| {});
+                        for c in 0..w {
+                            two.second_block_column(&mut block, w, c, &mut col);
+                            two.second_fft(&y, c0 + c, &mut one, &mut fft);
+                            assert_eq!(
+                                bits(&col[..k]),
+                                bits(&one[..k]),
+                                "{what} part 2 w={w} col {}",
+                                c0 + c
+                            );
+                        }
+                    }
+                }
+                // One first-part column against the direct DFT of its input.
+                if m <= 1 << 10 {
+                    let n1 = k / 2;
+                    let mut input = vec![Complex64::ZERO; m];
+                    two.gather_first(&x, n1, &mut input);
+                    two.first_fft(&x, n1, &mut one, &mut fft);
+                    let want_col = dft_naive(&input, dir);
+                    assert!(
+                        max_abs_diff(&one[..m], &want_col) < 1e-9 * m as f64,
+                        "{what} column {n1} vs naive"
+                    );
+                }
+            }
+        }
     }
 }
